@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json fuzz
+.PHONY: all build vet test race loc chaos chaos-supervised multiproc chaos-multiproc chaos-partial chaos-corrupt chaos-partition chaos-jobs stats-smoke bench bench-json fuzz
 
 all: vet build test
 
@@ -15,6 +15,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Production size: non-test Go lines outside the perfbench harness (and
+# outside hidden build/cache directories).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' -print0 | xargs -0 cat | wc -l
 
 # Fault-injection soak: reliable delivery, dedup, reorder tolerance,
 # chaos runs of the stencil and circuit workloads, and the deadlock
@@ -54,7 +59,6 @@ chaos-multiproc:
 	./bin/godcr-node -launch -supervise -n 3 -kill 1 -seed 7 -workload stencil -steps 30
 	./bin/godcr-node -launch -supervise -n 3 -kill 1 -seed 11 -workload circuit -steps 24
 	./bin/godcr-node -launch -supervise -n 4 -kill 2 -seed 3 -workload stencil -steps 30
-	./bin/godcr-node -launch -supervise -n 3 -kill 1 -seed 13 -codec gob -workload stencil -steps 30
 	$(GO) test -race -count=1 -run 'RemoteSupervisedRecovery|TCPReviveBarrier|TCPEpochSync|TCPCloseDuringDialBackoff|HeartbeatStaleEpoch' \
 		./internal/cluster ./internal/core
 
@@ -124,9 +128,10 @@ bench:
 bench-json:
 	$(GO) run ./cmd/benchjson -out BENCH_core.json
 
-# Fuzz smoke: the wire codec, the payload codec seam (binary decoder
-# totality + gob-fallback dispatch), and the journal/checkpoint codec
-# each get a short randomized hammering (longer runs: raise -fuzztime).
+# Fuzz smoke: the gob envelope, the frame codec, the binary payload
+# codec (decoder totality + gob-fallback dispatch), and the
+# journal/checkpoint codec each get a short randomized hammering
+# (longer runs: raise -fuzztime).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster

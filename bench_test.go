@@ -290,7 +290,7 @@ func BenchmarkAblationTracing(b *testing.B) {
 }
 
 // BenchmarkAblationWireEncode compares shared-memory message passing
-// against strict gob-encoded distribution.
+// against strict distribution through the binary wire codec.
 func BenchmarkAblationWireEncode(b *testing.B) {
 	for _, wire := range []bool{false, true} {
 		b.Run(fmt.Sprintf("wire=%v", wire), func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net"
 	"os"
@@ -44,34 +45,32 @@ type record struct {
 	// it must stay in the same noise band as the journal itself.
 	CheckpointOverheadPct float64 `json:"checkpoint_overhead_pct"`
 	// TCPLoopbackOverheadPct is the stencil@4 slowdown of running each
-	// shard behind its own TCP-loopback endpoint versus the in-process
-	// backend's synchronous handoff, in percent of a full workload
-	// execution, under the backend defaults (binary payload codec,
-	// frame coalescing). The two sides are timed interleaved in one
-	// window (benchPair), so a load shift on a shared box biases both
-	// medians instead of whichever ran second. The codec=/batching=
-	// rows in Results break the win down per dimension;
-	// TCPLoopbackGobNoBatchPct is the same number under the historical
-	// wire path (gob, one write per frame).
-	TCPLoopbackOverheadPct   float64 `json:"tcp_loopback_overhead_pct"`
-	TCPLoopbackGobNoBatchPct float64 `json:"tcp_loopback_gob_nobatch_pct"`
-	// TCPLoopbackDataPushPct is the same paired overhead with
-	// Config.DataPush on: ghost data shipped proactively at publication
-	// instead of demand-pulled. On a single-core host this sits above
-	// the pull number — the symmetric enumeration makes every process
-	// analyze every launch point, and with one shard per process that
-	// replicated analysis costs more than the saved request frames. The
-	// row is kept as an honest ablation, not the default.
-	TCPLoopbackDataPushPct float64 `json:"tcp_loopback_datapush_pct"`
-	// TCPCRCOverheadPct is the stencil@4 TCP-loopback slowdown of the
-	// per-frame CRC32C integrity pair (header CRC + payload CRC, written
-	// on send and verified on receive) versus the same wire path with
-	// checksumming disabled (TCPOptions.DisableCRC), in percent of a
-	// full workload execution, timed as an interleaved pair. Castagnoli
-	// CRC32 is a hardware instruction on amd64/arm64, so end-to-end
-	// frame integrity must stay in the low single digits; the record
-	// refuses to commit a number at or above 3%.
+	// shard behind its own TCP-loopback endpoint (demand pulls, binary
+	// codec, frame coalescing) versus the in-process backend (which
+	// pushes ghost data), in percent of a full workload execution. The
+	// two sides are timed interleaved in one window (benchPair), so a
+	// load shift on a shared box biases both medians instead of
+	// whichever ran second.
+	TCPLoopbackOverheadPct float64 `json:"tcp_loopback_overhead_pct"`
+	// TCPCRCOverheadPct is the modelled share of the stencil@4
+	// TCP-loopback execution spent on the per-frame CRC32C pair (header
+	// CRC + payload CRC, computed on send and verified on receive):
+	// CRCNsPerByte × TCPBytesPerOp ÷ the tcp row's ns/op, in percent.
+	// Castagnoli CRC32 is a hardware instruction on amd64/arm64, so
+	// end-to-end frame integrity must stay in the low single digits;
+	// the record refuses to commit a number at or above 3%.
 	TCPCRCOverheadPct float64 `json:"tcp_crc_overhead_pct"`
+	// CRCNsPerByte is the CRC32C cost of one frame-shaped checksum pair
+	// (a 42-byte header sum plus a payload sum, at the run's mean frame
+	// size) divided by the frame's bytes: the per-byte unit cost behind
+	// TCPCRCOverheadPct.
+	CRCNsPerByte float64 `json:"crc_ns_per_byte"`
+	// TCPBytesPerOp is the frame bytes one stencil@4 TCP-loopback
+	// execution checksums: BytesOut + BytesIn summed over the four
+	// endpoints' WireStats (every frame is summed once by its sender and
+	// once by its receiver). Self-sends count in WireStats but are never
+	// checksummed, so the model errs high.
+	TCPBytesPerOp float64 `json:"tcp_bytes_per_op"`
 	// RecoveryFullNs / RecoveryPartialNs are the median wall-clock from
 	// a mid-run shard death (stencil@4 over TCP loopback, one shard's
 	// cluster torn down after its first checkpoint spill, then respawned
@@ -173,7 +172,7 @@ func stageBreakdown(shards, tiles, steps int) (map[string]int64, error) {
 	stages := make(map[string]int64)
 	for _, path := range []string{
 		"attempt", "coarse/analysis", "fine/fence_wait", "fine/analysis",
-		"execute/point", "execute/pull_wire", "execute/push_wire", "collective",
+		"execute/point", "execute/pull_wire", "collective",
 	} {
 		if s := snap.Find(path); s != nil {
 			stages[path] = s.TotalNs
@@ -188,33 +187,31 @@ func stageBreakdown(shards, tiles, steps int) (map[string]int64, error) {
 // runStencilTCP runs the stencil with every shard behind its own
 // TCP-loopback endpoint — one runtime per shard, frames crossing real
 // sockets. Still one OS process: the row measures the wire cost
-// (payload encode + framing + socket hop per message), not exec.
-// codec picks the payload encoding (nil = the backend default,
-// binary); noCoalesce disables frame batching, so the gob/no-batch row
-// reproduces the historical one-write-per-frame wire path; noCRC
-// disables frame checksumming on every endpoint (the integrity-cost
-// ablation — never a production configuration).
-func runStencilTCP(shards, tiles, steps int, codec godcr.PayloadCodec, noCoalesce, push, noCRC bool) error {
+// (payload encode + framing + socket hop per message), not exec. The
+// returned WireStats sum every endpoint's frame counters.
+func runStencilTCP(shards, tiles, steps int) (godcr.WireStats, error) {
+	var ws godcr.WireStats
 	lns := make([]net.Listener, shards)
 	addrs := make([]string, shards)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return err
+			return ws, err
 		}
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
 	rts := make([]*godcr.Runtime, shards)
+	trs := make([]*godcr.TCPTransport, shards)
 	for i := range rts {
 		tr, err := godcr.NewTCPTransport(godcr.TCPOptions{
 			Self: godcr.NodeID(i), Addrs: addrs, Listener: lns[i],
-			Codec: codec, NoCoalesce: noCoalesce, DisableCRC: noCRC,
 		})
 		if err != nil {
-			return err
+			return ws, err
 		}
-		rts[i] = godcr.NewRuntime(godcr.Config{Shards: shards, Transport: tr, DataPush: push})
+		trs[i] = tr
+		rts[i] = godcr.NewRuntime(godcr.Config{Shards: shards, Transport: tr})
 		registerStencilTasks(rts[i])
 	}
 	var wg sync.WaitGroup
@@ -227,15 +224,54 @@ func runStencilTCP(shards, tiles, steps int, codec godcr.PayloadCodec, noCoalesc
 		}(i)
 	}
 	wg.Wait()
-	for _, rt := range rts {
+	for i, rt := range rts {
 		rt.Shutdown()
+		st := trs[i].Stats()
+		ws.FramesOut += st.FramesOut
+		ws.BytesOut += st.BytesOut
+		ws.FramesIn += st.FramesIn
+		ws.BytesIn += st.BytesIn
 	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return ws, err
 		}
 	}
-	return nil
+	return ws, nil
+}
+
+var crcSink uint32
+
+// crcNsPerByte times the CRC32C work of one frame-shaped checksum pair
+// — a header sum over the 42-byte prefix+header and a payload sum over
+// the rest, as the frame codec computes them — at the given frame size,
+// and returns the median over a few windows in ns per frame byte.
+func crcNsPerByte(frameBytes int) float64 {
+	const hdr, trailer = 42, 4
+	if frameBytes < hdr+2*trailer {
+		frameBytes = hdr + 2*trailer
+	}
+	buf := make([]byte, frameBytes)
+	for i := range buf {
+		buf[i] = byte(i * 31)
+	}
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	var sink uint32
+	samples := make([]float64, 0, 7)
+	for len(samples) < cap(samples) {
+		n, s := 0, time.Now()
+		for time.Since(s) < 20*time.Millisecond {
+			for i := 0; i < 1024; i++ {
+				sink ^= crc32.Checksum(buf[:hdr], tab)
+				sink ^= crc32.Checksum(buf[hdr+trailer:frameBytes-trailer], tab)
+			}
+			n += 1024
+		}
+		samples = append(samples, float64(time.Since(s).Nanoseconds())/float64(n*frameBytes))
+	}
+	crcSink = sink // keep the sums observable
+	sort.Float64s(samples)
+	return samples[len(samples)/2]
 }
 
 func registerCircuitTasks(rt registrar) {
@@ -671,61 +707,32 @@ func main() {
 	rec.JournalOverheadPct = 100 * (float64(on.NsPerOp) - float64(off.NsPerOp)) / float64(off.NsPerOp)
 	rec.CheckpointOverheadPct = 100 * (float64(ckpt.NsPerOp) - float64(on.NsPerOp)) / float64(on.NsPerOp)
 
-	// The wire-path matrix: codec × batching over TCP loopback. The
-	// binary+batching cell is the backend default and the headline
-	// overhead number — timed as an interleaved pair against the
-	// in-process baseline so the ratio compares code paths, not load
-	// windows. The remaining cells are per-dimension breakdowns, each
-	// paired against the same baseline for a window-free ratio.
-	pairOverhead := func(name string, codec godcr.PayloadCodec, noCoalesce, push bool) (result, float64) {
-		mem, tcp := benchPair(
-			"stencil/shards=4/transport=mem/paired-vs-"+name,
-			func() error { return runStencil(godcr.Config{Shards: 4}, 8, steps) },
-			"stencil/shards=4/transport=tcp-loopback/"+name,
-			func() error { return runStencilTCP(4, 8, steps, codec, noCoalesce, push, false) })
-		return tcp, 100 * (float64(tcp.NsPerOp) - float64(mem.NsPerOp)) / float64(mem.NsPerOp)
-	}
-	tcpDefault, defaultPct := pairOverhead("codec=binary/batching=on", godcr.CodecBinary, false, false)
-	rec.Results = append(rec.Results, tcpDefault)
-	for _, w := range []struct {
-		name       string
-		codec      godcr.PayloadCodec
-		noCoalesce bool
-	}{
-		{"codec=binary/batching=off", godcr.CodecBinary, true},
-		{"codec=gob/batching=on", godcr.CodecGob, false},
-	} {
-		w := w
-		rec.Results = append(rec.Results, bench("stencil/shards=4/transport=tcp-loopback/"+w.name,
-			func() error { return runStencilTCP(4, 8, steps, w.codec, w.noCoalesce, false, false) }))
-	}
-	tcpLegacy, legacyPct := pairOverhead("codec=gob/batching=off", godcr.CodecGob, true, false)
-	rec.Results = append(rec.Results, tcpLegacy)
-	tcpPush, pushPct := pairOverhead("codec=binary/batching=on/datapush=on", godcr.CodecBinary, false, true)
-	rec.Results = append(rec.Results, tcpPush)
-	rec.TCPLoopbackOverheadPct = defaultPct
-	rec.TCPLoopbackGobNoBatchPct = legacyPct
-	rec.TCPLoopbackDataPushPct = pushPct
-	// The wire-path work exists to beat the historical path; refuse to
-	// commit a record where it does not.
-	if tcpDefault.NsPerOp >= tcpLegacy.NsPerOp {
-		fmt.Fprintf(os.Stderr, "benchjson: binary+batching (%d ns/op) not below gob+no-batch (%d ns/op)\n",
-			tcpDefault.NsPerOp, tcpLegacy.NsPerOp)
+	// The wire path: every shard behind its own TCP-loopback endpoint
+	// (the runtime pulls there), timed as an interleaved pair against
+	// the in-process backend (which pushes) so the ratio compares code
+	// paths, not load windows.
+	mem, tcp := benchPair(
+		"stencil/shards=4/transport=mem/paired-vs-tcp-loopback",
+		func() error { return runStencil(godcr.Config{Shards: 4}, 8, steps) },
+		"stencil/shards=4/transport=tcp-loopback",
+		func() error { _, err := runStencilTCP(4, 8, steps); return err })
+	rec.Results = append(rec.Results, tcp)
+	rec.TCPLoopbackOverheadPct = 100 * (float64(tcp.NsPerOp) - float64(mem.NsPerOp)) / float64(mem.NsPerOp)
+
+	// The integrity cost, modelled from unit costs: CRC32C ns per frame
+	// byte at the run's mean frame size, times the bytes one execution
+	// checksums, over the tcp row's ns/op. Hardware CRC32C must keep
+	// end-to-end frame integrity effectively free.
+	ws, err := runStencilTCP(4, 8, steps)
+	if err != nil || ws.FramesOut == 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: tcp wire stats: %v (%d frames)\n", err, ws.FramesOut)
 		os.Exit(1)
 	}
-
-	// The integrity ablation: the same default wire path with frame
-	// checksumming off, interleaved against CRC on. Hardware CRC32C must
-	// keep end-to-end frame integrity effectively free.
-	crcOff, crcOn := benchPair(
-		"stencil/shards=4/transport=tcp-loopback/crc=off",
-		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, false, true) },
-		"stencil/shards=4/transport=tcp-loopback/crc=on",
-		func() error { return runStencilTCP(4, 8, steps, godcr.CodecBinary, false, false, false) })
-	rec.Results = append(rec.Results, crcOff, crcOn)
-	rec.TCPCRCOverheadPct = 100 * (float64(crcOn.NsPerOp) - float64(crcOff.NsPerOp)) / float64(crcOff.NsPerOp)
+	rec.CRCNsPerByte = crcNsPerByte(int(ws.BytesOut / ws.FramesOut))
+	rec.TCPBytesPerOp = float64(ws.BytesOut + ws.BytesIn)
+	rec.TCPCRCOverheadPct = 100 * rec.CRCNsPerByte * rec.TCPBytesPerOp / float64(tcp.NsPerOp)
 	if rec.TCPCRCOverheadPct >= 3 {
-		fmt.Fprintf(os.Stderr, "benchjson: frame CRCs cost %.1f%% (>= 3%% budget) over the no-CRC wire path\n",
+		fmt.Fprintf(os.Stderr, "benchjson: frame CRCs cost %.1f%% (>= 3%% budget) of a tcp-loopback execution\n",
 			rec.TCPCRCOverheadPct)
 		os.Exit(1)
 	}

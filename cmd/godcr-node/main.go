@@ -367,9 +367,6 @@ type workerOpts struct {
 	// survivors abandon their in-flight attempt and the whole cluster
 	// resumes from checkpoints in a fresh epoch.
 	reborn bool
-	// codec names the payload codec on the TCP wire: "binary" (the
-	// default) or "gob". Must match across the cluster's processes.
-	codec string
 	// corrupt, when > 0, flips one seeded bit in outbound TCP frames
 	// with this probability; the receivers' CRCs turn every flip into a
 	// recoverable loss.
@@ -423,20 +420,10 @@ func runWorker(o workerOpts) (*report, error) {
 	for i, s := range hosted {
 		ids[i] = godcr.NodeID(s)
 	}
-	var codec godcr.PayloadCodec
-	switch o.codec {
-	case "", "binary":
-		codec = godcr.CodecBinary
-	case "gob":
-		codec = godcr.CodecGob
-	default:
-		return nil, fmt.Errorf("unknown codec %q (want binary or gob)", o.codec)
-	}
 	tr, err := godcr.NewTCPTransport(godcr.TCPOptions{
 		Self:   godcr.NodeID(o.shard),
 		Shards: ids,
 		Addrs:  o.addrs,
-		Codec:  codec,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
@@ -612,8 +599,6 @@ type launchOpts struct {
 	// (supervise mode only).
 	kills int
 	seed  int64
-	// codec is the payload codec name forwarded to every worker.
-	codec string
 	// corrupt forwards wire-corruption probability to every worker; the
 	// launcher then demands at least one CRC rejection cluster-wide.
 	corrupt float64
@@ -706,9 +691,6 @@ func superviseWorker(ctx context.Context, self string, o launchOpts, pi int, gro
 		}
 		if o.partial {
 			args = append(args, "-partial")
-		}
-		if o.codec != "" {
-			args = append(args, "-codec", o.codec)
 		}
 		args = append(args, o.faultArgs(pi)...)
 		if reborn {
@@ -880,9 +862,6 @@ func launch(o launchOpts) error {
 				"-workload", o.workload,
 				"-steps", fmt.Sprint(o.steps),
 			}
-			if o.codec != "" {
-				args = append(args, "-codec", o.codec)
-			}
 			args = append(args, o.faultArgs(pi)...)
 			cmd := exec.CommandContext(ctx, self, args...)
 			cmd.Stderr = os.Stderr
@@ -944,7 +923,6 @@ func main() {
 		reborn    = flag.Bool("reborn", false, "this worker is a respawn: announce rebirth so the cluster restarts from checkpoints")
 		kills     = flag.Int("kill", 0, "SIGKILL this many randomly chosen workers mid-run (launcher mode, with -supervise)")
 		seed      = flag.Int64("seed", 1, "chaos kill RNG seed (launcher mode)")
-		codecName = flag.String("codec", "binary", "payload codec on the TCP wire: binary or gob")
 		corrupt   = flag.Float64("corrupt", 0, "probability of flipping one bit in each outbound TCP frame")
 		faultSeed = flag.Uint64("fault-seed", 1, "wire-corruption RNG seed (worker mode)")
 		partition = flag.Duration("partition", 0, "isolate -partition-shard from every peer for this long from process start")
@@ -1001,7 +979,7 @@ func main() {
 		err := launch(launchOpts{
 			n: *n, workload: *name, steps: *steps, timeout: *timeout, procs: *procs,
 			supervise: *supervise, partial: *partial, kills: *kills, seed: *seed,
-			codec: *codecName, corrupt: *corrupt,
+			corrupt:   *corrupt,
 			partition: *partition, partitionShard: *partShard, corruptCkpt: *corrCkpt,
 		})
 		if err != nil {
@@ -1017,7 +995,7 @@ func main() {
 		rep, err := runWorker(workerOpts{
 			shard: *shard, hosted: hosted, addrs: list, workload: *name, steps: *steps,
 			supervise: *supervise, partial: *partial, ckptDir: *ckpt, reborn: *reborn,
-			codec: *codecName, corrupt: *corrupt, faultSeed: *faultSeed,
+			corrupt: *corrupt, faultSeed: *faultSeed,
 			partitionShard: *partShard, partitionDur: *partition,
 		})
 		if err != nil {

@@ -11,7 +11,11 @@
 //
 // Usage:
 //
-//	go run ./examples/recover -shards 4 -crash-node 2 -crash-after 60
+//	go run ./examples/recover -shards 4 -crash-node 2 -crash-after 30
+//
+// By default the crash lands halfway through the crashed shard's sends
+// in the fault-free run, so it fires mid-run whatever the program's
+// traffic volume; the demo fails if the crash never fired.
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"log"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"godcr"
@@ -27,14 +32,16 @@ import (
 func main() {
 	shards := flag.Int("shards", 4, "number of control-replicated shards")
 	crashNode := flag.Int("crash-node", 2, "shard whose transport crashes")
-	crashAfter := flag.Int("crash-after", 60, "sends before the crash")
+	crashAfter := flag.Int("crash-after", 0, "sends before the crash (0 = half the crashed shard's fault-free sends)")
 	ncells := flag.Int("cells", 64, "grid cells")
 	nsteps := flag.Int("steps", 6, "time steps")
 	flag.Parse()
 
 	// Fault-free reference first: the recovery contract is bit-identical
-	// output, so compute what "correct" means.
-	ref := newStencilRuntime(godcr.Config{Shards: *shards, SafetyChecks: true, Journal: true})
+	// output, so compute what "correct" means. Its transport counts each
+	// shard's sends, which places the crash mid-run.
+	counter := &sendCounter{Transport: godcr.NewMemTransport(*shards), sends: make([]atomic.Uint64, *shards)}
+	ref := newStencilRuntime(godcr.Config{Shards: *shards, SafetyChecks: true, Journal: true, Transport: counter})
 	var want []float64
 	if err := ref.Execute(stencilProgram(*ncells, *shards, *nsteps, func(flux []float64) {
 		want = append([]float64(nil), flux...)
@@ -43,6 +50,9 @@ func main() {
 	}
 	wantHash := ref.ControlHash()
 	ref.Shutdown()
+	if *crashAfter <= 0 {
+		*crashAfter = int(counter.sends[*crashNode].Load() / 2)
+	}
 
 	// The doomed run: periodic checkpoints every 8 ops, heartbeat
 	// failure detection every 2ms, the deadlock watchdog as backstop,
@@ -84,6 +94,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("supervised run did not heal: %v", err)
 	}
+	if rt.TransportStats().Stalled == 0 {
+		log.Fatalf("the crash after %d sends never fired: nothing was healed", *crashAfter)
+	}
 	st := rt.Stats()
 	fmt.Printf("healed: %d ops fast-forwarded from the journal\n", st.JournalReplays)
 
@@ -99,6 +112,19 @@ func main() {
 	}
 	fmt.Printf("verified: %d cells and control hash %x bit-identical to the fault-free run\n",
 		len(want), rt.ControlHash())
+}
+
+// sendCounter wraps a transport and counts data frames by sender: on a
+// fault-free run without heartbeats, each shard's sends — the unit
+// StallWindow.AfterSends counts.
+type sendCounter struct {
+	godcr.Transport
+	sends []atomic.Uint64
+}
+
+func (s *sendCounter) Send(f *godcr.Frame) error {
+	s.sends[f.From].Add(1)
+	return s.Transport.Send(f)
 }
 
 func newStencilRuntime(cfg godcr.Config) *godcr.Runtime {

@@ -256,25 +256,16 @@ type (
 	TCPTransport = cluster.TCPTransport
 	// TCPOptions configures a TCPTransport endpoint.
 	TCPOptions = cluster.TCPOptions
-	// PayloadCodec turns payload values into wire bytes and back; the
-	// TCP backend selects one via TCPOptions.Codec, the in-process
-	// backend via Config.Codec (under Config.WireEncode).
-	PayloadCodec = cluster.PayloadCodec
 )
 
-// Payload codecs.
+// The wire codec is a hand-rolled zero-alloc binary encoding of the
+// runtime's hot payload types (pull requests and responses, future
+// values, collective scalars, centralized task envelopes), used on the
+// TCP wire and under Config.WireEncode; unregistered types
+// transparently fall back to gob.
 var (
-	// CodecGob is the self-describing encoding/gob codec — works for
-	// any registered type, pays per-message type-descriptor overhead.
-	CodecGob = cluster.CodecGob
-	// CodecBinary is the hand-rolled zero-alloc codec for the
-	// runtime's hot payload types (pull requests and responses, future
-	// values, collective scalars, centralized task envelopes);
-	// unregistered types transparently fall back to gob. The TCP
-	// backend's default.
-	CodecBinary = cluster.CodecBinary
-	// RegisterBinaryPayload adds a custom payload type to CodecBinary
-	// (call from init; see cluster.RegisterBinaryPayload).
+	// RegisterBinaryPayload gives a custom payload type a binary fast
+	// path (call from init; see cluster.RegisterBinaryPayload).
 	RegisterBinaryPayload = cluster.RegisterBinaryPayload
 )
 

@@ -2,7 +2,7 @@
 // DCR runtime runs on: a set of nodes that exchange asynchronous
 // messages. Nodes live in one process (each node's services run on
 // goroutines), but the transport can be configured to behave like a
-// network: per-message delivery latency, optional gob wire-encoding
+// network: per-message delivery latency, optional binary wire-encoding
 // that deep-copies every payload so no hidden shared memory can leak
 // between nodes (the "strict distribution" mode used by the
 // integration tests), and seeded fault injection (message drop,
@@ -68,17 +68,12 @@ type Config struct {
 	Nodes int
 	// Latency is injected one-way message delay (0 = immediate).
 	Latency time.Duration
-	// WireEncode forces every payload through the wire codec's
-	// encode/decode, guaranteeing nodes share no memory. Payload types
-	// must be registered with RegisterWireType (or, for the binary
-	// codec's fast path, RegisterBinaryPayload).
+	// WireEncode forces every payload through the binary wire codec's
+	// encode/decode — the bytes the TCP backend would put on the wire —
+	// guaranteeing nodes share no memory. Types without a
+	// RegisterBinaryPayload fast path ride the codec's gob fallback and
+	// must be registered with RegisterWireType.
 	WireEncode bool
-	// Codec selects the payload codec WireEncode round-trips through
-	// (nil selects CodecGob, the historical behavior). The TCP backend
-	// has its own codec selection (TCPOptions.Codec); this one exists so
-	// the in-process backend can exercise a codec under the same
-	// bit-identical parity matrix the TCP backend must pass.
-	Codec PayloadCodec
 	// Faults injects transport faults (chaos testing); nil keeps the
 	// perfect-network fast path.
 	Faults *FaultPlan
@@ -544,7 +539,7 @@ func (c *Cluster) SyncEpoch(timeout time.Duration) uint64 {
 // Deliver implements Sink: the backend hands arriving data frames to
 // the endpoint layer here. Dead-epoch frames and frames for nodes this
 // process does not host are dropped; remotely-encoded payloads are
-// decoded through the same wire codec WireEncode mode uses.
+// decoded through the same binary codec WireEncode mode uses.
 func (c *Cluster) Deliver(f *Frame) {
 	if c.closed.Load() || f.Epoch != c.epoch.Load() {
 		return
@@ -554,8 +549,6 @@ func (c *Cluster) Deliver(f *Frame) {
 	}
 	payload := f.Payload
 	if payload == nil && len(f.Wire) > 0 {
-		// Remote payloads open with the sending codec's ID byte; decode
-		// dispatches on it, so endpoints with different codecs interoperate.
 		p, err := DecodePayload(f.Wire)
 		if err != nil {
 			return // undecodable remote payload: drop, like line noise
@@ -627,7 +620,8 @@ var (
 
 var wireTypesMu sync.Mutex
 
-// RegisterWireType registers a payload type for WireEncode mode.
+// RegisterWireType registers a payload type for the binary codec's gob
+// fallback (types without a RegisterBinaryPayload fast path).
 func RegisterWireType(v any) {
 	wireTypesMu.Lock()
 	defer wireTypesMu.Unlock()
@@ -665,6 +659,9 @@ func (n *Node) HandleInline(tag uint64, h Handler) { n.handle(tag, h, true) }
 func (n *Node) handle(tag uint64, h Handler, inline bool) {
 	ep := n.ep
 	tag ^= n.mix
+	if n.jc != nil {
+		n.jc.noteHandler(tag)
+	}
 	if n.mix != 0 {
 		// Hand the handler the unmixed tag: the mixing is a wire-level
 		// concern the layers above never see.
@@ -692,11 +689,11 @@ func (n *Node) handle(tag uint64, h Handler, inline bool) {
 }
 
 // Send delivers a message to node `to` with the configured latency. If
-// WireEncode is on, the payload is deep-copied through gob. A non-nil
-// error means the message was provably not delivered (encode failure
-// or interrupted transport); nil is fire-and-forget as on a real NIC —
-// with fault injection on, delivery is only guaranteed by the reliable
-// sublayer.
+// WireEncode is on, the payload is deep-copied through the binary
+// codec. A non-nil error means the message was provably not delivered
+// (encode failure or interrupted transport); nil is fire-and-forget as
+// on a real NIC — with fault injection on, delivery is only guaranteed
+// by the reliable sublayer.
 func (n *Node) Send(to NodeID, tag uint64, payload any) error {
 	if n.c.closed.Load() {
 		return ErrClosed
@@ -711,15 +708,11 @@ func (n *Node) Send(to NodeID, tag uint64, payload any) error {
 	// nil payloads (barriers) are trivially copy-safe and cannot be
 	// wire-encoded inside an interface; skip the wire round-trip.
 	if n.c.cfg.WireEncode && payload != nil {
-		codec := n.c.cfg.Codec
-		if codec == nil {
-			codec = CodecGob
-		}
-		wire, err := codec.Append(nil, payload)
+		wire, err := AppendBinaryValue(nil, payload)
 		if err != nil {
 			return err
 		}
-		out, err := codec.Decode(wire)
+		out, err := DecodePayload(wire)
 		if err != nil {
 			return fmt.Errorf("%w: %T not wire-decodable: %v", ErrBadPayload, payload, err)
 		}
@@ -794,6 +787,20 @@ type LinkStats struct {
 	Bytes  uint64 `json:"bytes"`
 }
 
+// Handlers returns the number of active-message handlers registered
+// across this process's endpoints, every job's included — the
+// introspection hook that shows whether finished jobs are released.
+func (c *Cluster) Handlers() int {
+	total := 0
+	for _, id := range c.locals {
+		n := c.nodes[id]
+		n.mu.Lock()
+		total += len(n.handlers)
+		n.mu.Unlock()
+	}
+	return total
+}
+
 // Links returns per-destination outbound frame/byte counts, indexed by
 // node id: the per-link half of the wire accounting WireStats
 // aggregates. Local sends on a remote backend still count — a link is
@@ -812,8 +819,8 @@ func (c *Cluster) WireStats() WireStats { return c.tr.Stats() }
 
 type wireEnvelope struct{ Payload any }
 
-// EncodeWire gob-encodes a payload exactly as WireEncode mode does on
-// every Send. Exposed so tools (and the wire-codec fuzz target) can
+// EncodeWire gob-encodes a payload exactly as the binary codec's gob
+// fallback does. Exposed so tools (and the wire-codec fuzz target) can
 // exercise the real marshalling path.
 func EncodeWire(payload any) ([]byte, error) {
 	var buf bytes.Buffer

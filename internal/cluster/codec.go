@@ -1,23 +1,14 @@
 package cluster
 
-// The payload codec seam. A PayloadCodec turns a logical payload into
-// bytes and back; the TCP backend (and WireEncode mode) select one per
-// endpoint. Two codecs are built in:
+// The payload codec: one hand-rolled, allocation-free binary encoding
+// for every data-frame payload, on the TCP wire and under WireEncode
+// alike. It covers the runtime's hot wire types natively (scalars,
+// float vectors, the reliable sublayer's relData, and every type
+// registered through RegisterBinaryPayload) and falls back to a
+// length-prefixed gob body for anything it does not know — so user
+// payload types keep working unchanged, just without the fast path.
 //
-//   - CodecGob wraps the historical gob envelope (EncodeWire /
-//     DecodeWire). Any gob-registered type works, at gob's cost: every
-//     message carries a fresh encoder's type descriptors.
-//   - CodecBinary is a hand-rolled, allocation-free encoder for the
-//     runtime's hot wire types (scalars, float vectors, the reliable
-//     sublayer's relData, and every type registered through
-//     RegisterBinaryPayload), falling back to a length-prefixed gob
-//     body for anything it does not know — so user payload types keep
-//     working unchanged, just without the fast path.
-//
-// On the TCP wire every data-frame payload is prefixed with the one
-// byte ID of the codec that produced it, so the receiving endpoint
-// dispatches per frame and a gob peer can talk to a binary peer. The
-// binary body itself is a tagged little-endian value:
+// A data frame's body is exactly one tagged little-endian value:
 //
 //	u8 tag, then:
 //	  0x00 nil        (empty body)
@@ -46,97 +37,22 @@ import (
 	"sync"
 )
 
-// PayloadCodec encodes data-frame payloads for a remote backend.
-// Implementations must be safe for concurrent use. Decode must not
-// retain b — callers reuse the buffer.
-type PayloadCodec interface {
-	// ID is the codec's wire identifier, prefixed to every encoded
-	// payload so the receiving endpoint can dispatch per frame.
-	ID() byte
-	// Name identifies the codec in diagnostics and benchmark records.
-	Name() string
-	// Append encodes v onto dst and returns the extended slice.
-	Append(dst []byte, v any) ([]byte, error)
-	// Decode parses a payload produced by Append.
-	Decode(b []byte) (any, error)
-}
-
-// Built-in codec IDs.
-const (
-	codecIDGob    = byte(0)
-	codecIDBinary = byte(1)
-)
-
-// CodecGob is the gob envelope codec — the historical wire format, and
-// the fallback CodecBinary uses for unregistered payload types.
-var CodecGob PayloadCodec = gobCodec{}
-
-// CodecBinary is the hand-rolled binary codec: the default on the TCP
-// backend.
-var CodecBinary PayloadCodec = binaryCodec{}
-
-var (
-	codecMu  sync.RWMutex
-	codecs   = map[byte]PayloadCodec{codecIDGob: CodecGob, codecIDBinary: CodecBinary}
-)
-
-// RegisterCodec makes a custom codec decodable by ID on this endpoint.
-// The built-in codecs are pre-registered; both endpoints of a link must
-// register the same codec for its frames to be understood.
-func RegisterCodec(c PayloadCodec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	codecs[c.ID()] = c
-}
-
-func codecByID(id byte) PayloadCodec {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	return codecs[id]
-}
-
-// appendPayload encodes v with c, prefixed by c's codec ID.
-func appendPayload(dst []byte, c PayloadCodec, v any) ([]byte, error) {
-	dst = append(dst, c.ID())
-	return c.Append(dst, v)
-}
-
-// DecodePayload decodes a codec-ID-prefixed payload (the body of a TCP
-// data frame). Empty input is a nil payload (barriers, heartbeats).
+// DecodePayload decodes the body of a data frame. Empty input is a nil
+// payload (barriers, heartbeats). Decoding is strict: the body must be
+// exactly one value with no trailing bytes, so corruption cannot hide
+// behind a short parse.
 func DecodePayload(b []byte) (any, error) {
 	if len(b) == 0 {
 		return nil, nil
 	}
-	c := codecByID(b[0])
-	if c == nil {
-		return nil, fmt.Errorf("%w: unknown payload codec %d", ErrBadPayload, b[0])
-	}
-	return c.Decode(b[1:])
-}
-
-// --- Gob codec -----------------------------------------------------------
-
-type gobCodec struct{}
-
-func (gobCodec) ID() byte     { return codecIDGob }
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) Append(dst []byte, v any) ([]byte, error) {
-	if v == nil {
-		return dst, nil
-	}
-	b, err := EncodeWire(v)
+	v, n, err := DecodeBinaryValue(b)
 	if err != nil {
-		return dst, err
+		return nil, err
 	}
-	return append(dst, b...), nil
-}
-
-func (gobCodec) Decode(b []byte) (any, error) {
-	if len(b) == 0 {
-		return nil, nil
+	if n != len(b) {
+		return nil, fmt.Errorf("%w: %d trailing bytes after binary value", ErrBadPayload, len(b)-n)
 	}
-	return DecodeWire(b)
+	return v, nil
 }
 
 // --- Binary codec --------------------------------------------------------
@@ -173,8 +89,8 @@ var (
 	binByTag  [256]*binEntry
 )
 
-// RegisterBinaryPayload gives a payload type a fast path through
-// CodecBinary: enc appends the type's body (everything after the tag
+// RegisterBinaryPayload gives a payload type a fast path through the
+// binary codec: enc appends the type's body (everything after the tag
 // byte) to dst, dec parses it back, returning the value and the bytes
 // consumed (nested values let trailing data follow). tag must be >=
 // BinaryTagCustomBase and unique; prototype fixes the Go type the
@@ -204,29 +120,8 @@ func RegisterBinaryPayload(tag byte, prototype any,
 	binByType[rt] = tag
 }
 
-type binaryCodec struct{}
-
-func (binaryCodec) ID() byte     { return codecIDBinary }
-func (binaryCodec) Name() string { return "binary" }
-
-func (binaryCodec) Append(dst []byte, v any) ([]byte, error) {
-	return AppendBinaryValue(dst, v)
-}
-
-// Decode is strict: the body must be exactly one value with no
-// trailing bytes, so corruption cannot hide behind a short parse.
-func (binaryCodec) Decode(b []byte) (any, error) {
-	v, n, err := DecodeBinaryValue(b)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after binary value", ErrBadPayload, len(b)-n)
-	}
-	return v, nil
-}
-
-// AppendBinaryValue encodes one value in CodecBinary's tagged format.
+// AppendBinaryValue encodes one value in the binary codec's tagged
+// format.
 // Exposed so RegisterBinaryPayload encoders can embed nested `any`
 // fields (collective gather items carry arbitrary payloads).
 func AppendBinaryValue(dst []byte, v any) ([]byte, error) {

@@ -1,12 +1,13 @@
 package cluster
 
-// Wire-level battery for the payload codec seam: golden byte vectors
+// Wire-level battery for the binary payload codec: golden byte vectors
 // pin the binary format (any layout change must show up as a fixture
 // diff and a frameVersion bump), fuzzing proves the decoders total,
 // and AllocsPerRun locks the zero-allocation encode path.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -66,26 +67,25 @@ func TestBinaryGoldenVectors(t *testing.T) {
 }
 
 // TestDataFrameGolden pins the full on-the-wire image of a TCP data
-// frame: u32 length prefix, 34-byte v3 header, header CRC32C, codec-ID
-// byte, payload, payload CRC32C.
+// frame: u32 length prefix, 34-byte v4 header, header CRC32C, binary
+// payload, payload CRC32C.
 func TestDataFrameGolden(t *testing.T) {
 	f := Frame{Kind: frameData, Epoch: 1, Tag: 0xFA00000000000001, Seq: 5, From: 2, To: 3, Payload: float64(1.5)}
-	got, err := appendDataFrame(nil, &f, CodecBinary)
+	got, err := appendDataFrame(nil, &f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := hex.DecodeString(
-		"34000000" + // length prefix: 34B header + 4B hdr CRC + 10B body + 4B payload CRC
-			"03" + // frame version 3
+		"33000000" + // length prefix: 34B header + 4B hdr CRC + 9B body + 4B payload CRC
+			"04" + // frame version 4
 			"01" + // kind: data
 			"0100000000000000" + // epoch
 			"01000000000000fa" + // tag
 			"0500000000000000" + // seq
 			"02000000" + "03000000" + // from, to
-			"f4b420b6" + // CRC32C over prefix + header
-			"01" + // codec ID: binary
+			"23674104" + // CRC32C over prefix + header
 			"06000000000000f83f" + // float64 1.5
-			"cf0babac") // CRC32C over the payload
+			"a2e8c53f") // CRC32C over the payload
 	if !bytes.Equal(got, want) {
 		t.Fatalf("frame image drifted:\n got %x\nwant %x", got, want)
 	}
@@ -97,36 +97,25 @@ func TestDataFrameGolden(t *testing.T) {
 	if err != nil || v != 1.5 {
 		t.Fatalf("payload: %v %v", v, err)
 	}
-
-	// The gob codec stamps its own ID so mixed-codec peers dispatch
-	// per frame.
-	got, err = appendDataFrame(nil, &f, CodecGob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id := got[framePrefixLen+frameHeaderLen+frameCRCLen]; id != codecIDGob {
-		t.Fatalf("gob frame carries codec ID %d", id)
-	}
-	body := got[framePrefixLen+frameHeaderLen+frameCRCLen : len(got)-frameCRCLen]
-	if v, err := DecodePayload(body); err != nil || v != 1.5 {
-		t.Fatalf("gob payload: %v %v", v, err)
-	}
 }
 
 // TestFrameVersionPins documents the compatibility story: data-frame
-// payloads grew a codec-ID prefix in v2 and frames grew header and
-// payload CRC32C fields in v3, so an old peer parsing a new stream (or
-// vice versa) would mis-read bytes. The version byte makes the
-// mismatch a loud, immediate connection error instead.
+// payloads grew a codec-ID prefix in v2, frames grew header and payload
+// CRC32C fields in v3, and v4 dropped the codec-ID byte again (one
+// codec), so an old peer parsing a new stream (or vice versa) would
+// mis-read bytes. The version byte makes the mismatch a loud,
+// immediate connection error instead.
 func TestFrameVersionPins(t *testing.T) {
-	if frameVersion != 3 {
-		t.Fatalf("frameVersion = %d; golden vectors in this file pin version 3 — regenerate them with the bump", frameVersion)
+	if frameVersion != 4 {
+		t.Fatalf("frameVersion = %d; golden vectors in this file pin version 4 — regenerate them with the bump", frameVersion)
 	}
 	f := Frame{Kind: frameData, From: 0, To: 1}
-	b := appendFrame(nil, &f, nil)
-	b[framePrefixLen] = 2 // a v2 sender's header
-	if _, _, err := decodeFrame(b); err == nil {
-		t.Fatal("v2 frame accepted by v3 decoder")
+	for _, old := range []byte{2, 3} {
+		b := appendFrame(nil, &f, nil)
+		b[framePrefixLen] = old // an older sender's header
+		if _, _, err := decodeFrame(b); err == nil {
+			t.Fatalf("v%d frame accepted by v4 decoder", old)
+		}
 	}
 }
 
@@ -135,18 +124,20 @@ func TestDecodePayloadDispatch(t *testing.T) {
 	if v, err := DecodePayload(nil); v != nil || err != nil {
 		t.Fatalf("empty payload: %v %v", v, err)
 	}
-	// Unknown codec ID refuses.
-	if _, err := DecodePayload([]byte{0x7F, 1, 2}); err == nil {
-		t.Fatal("unknown codec ID accepted")
+	// Unknown binary tag refuses.
+	if _, err := DecodePayload([]byte{0x3E, 1, 2}); err == nil {
+		t.Fatal("unknown binary tag accepted")
 	}
-	// Both builtin codecs round-trip through the ID-prefixed path.
-	for _, c := range []PayloadCodec{CodecGob, CodecBinary} {
-		b, err := appendPayload(nil, c, "ping")
+	// Natively encoded and gob-fallback values both round-trip.
+	type viaGob struct{ S string }
+	RegisterWireType(viaGob{})
+	for _, v := range []any{"ping", viaGob{S: "ping"}} {
+		b, err := AppendBinaryValue(nil, v)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%T: %v", v, err)
 		}
-		if v, err := DecodePayload(b); err != nil || v != "ping" {
-			t.Fatalf("%s: %v %v", c.Name(), v, err)
+		if got, err := DecodePayload(b); err != nil || got != v {
+			t.Fatalf("%T: %v %v", v, got, err)
 		}
 	}
 }
@@ -156,14 +147,14 @@ func TestDecodePayloadDispatch(t *testing.T) {
 func TestBinaryGobFallback(t *testing.T) {
 	type fallbackOnly struct{ N int }
 	RegisterWireType(fallbackOnly{})
-	b, err := CodecBinary.Append(nil, fallbackOnly{N: 41})
+	b, err := AppendBinaryValue(nil, fallbackOnly{N: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != binGob {
 		t.Fatalf("unregistered type encoded with tag %#x, want gob fallback", b[0])
 	}
-	v, err := CodecBinary.Decode(b)
+	v, err := DecodePayload(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +165,7 @@ func TestBinaryGobFallback(t *testing.T) {
 
 func TestBinaryDecodeStrict(t *testing.T) {
 	b, _ := AppendBinaryValue(nil, int64(1))
-	if _, err := CodecBinary.Decode(append(b, 0xCC)); err == nil {
+	if _, err := DecodePayload(append(b, 0xCC)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	if _, _, err := DecodeBinaryValue([]byte{binFloats, 0xFF, 0xFF, 0xFF, 0xFF}); err == nil {
@@ -188,10 +179,11 @@ func FuzzPayloadCodec(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(append([]byte{codecIDBinary}, b...))
+		f.Add(b)
 	}
-	gb, _ := appendPayload(nil, CodecGob, []float64{1, 2, 3})
-	f.Add(gb)
+	// A gob-fallback body (tag 0x3F), as an unregistered type travels.
+	gb, _ := EncodeWire([]float64{1, 2, 3})
+	f.Add(append(binary.LittleEndian.AppendUint32([]byte{binGob}, uint32(len(gb))), gb...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// Decoders must be total: arbitrary bytes error, never panic,
@@ -209,8 +201,7 @@ func FuzzPayloadCodec(f *testing.F) {
 		// NaN payloads and non-canonical inputs honest: DeepEqual
 		// rejects NaN == NaN, and a fuzzed gob stream need not equal
 		// its re-encoding.)
-		c := codecByID(b[0])
-		re, err := appendPayload(nil, c, v)
+		re, err := AppendBinaryValue(nil, v)
 		if err != nil {
 			t.Fatalf("re-encode of decoded value %#v: %v", v, err)
 		}
@@ -218,7 +209,7 @@ func FuzzPayloadCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of re-encoded value %#v: %v", v, err)
 		}
-		re2, err := appendPayload(nil, c, v2)
+		re2, err := AppendBinaryValue(nil, v2)
 		if err != nil {
 			t.Fatalf("second encode of %#v: %v", v2, err)
 		}
@@ -255,7 +246,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 	}
 	f := Frame{Kind: frameData, Epoch: 1, Tag: 2, Seq: 3, From: 0, To: 1, Payload: boxed}
 	if n := testing.AllocsPerRun(100, func() {
-		b, err := appendDataFrame(buf, &f, CodecBinary)
+		b, err := appendDataFrame(buf, &f)
 		if err != nil || len(b) == 0 {
 			t.Fatal("encode failed")
 		}
@@ -299,6 +290,19 @@ func TestCodecRegistryGuards(t *testing.T) {
 	}
 	enc := func(dst []byte, v any) ([]byte, error) { return dst, nil }
 	dec := func(b []byte) (any, int, error) { return nil, 0, nil }
+	// The registry is process-global: put it back as found, so the test
+	// can run again in the same binary (go test -count=N).
+	binRegMu.Lock()
+	savedTags, savedTypes := binByTag, make(map[reflect.Type]byte, len(binByType))
+	for k, v := range binByType {
+		savedTypes[k] = v
+	}
+	binRegMu.Unlock()
+	t.Cleanup(func() {
+		binRegMu.Lock()
+		binByTag, binByType = savedTags, savedTypes
+		binRegMu.Unlock()
+	})
 	mustPanic("reserved tag", func() { RegisterBinaryPayload(binRelData, struct{ X int }{}, enc, dec) })
 	mustPanic("nil prototype", func() { RegisterBinaryPayload(0xFE, nil, enc, dec) })
 	type once struct{ X int }

@@ -25,7 +25,10 @@
 // root node; the mix keeps their keys disjoint.
 package cluster
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // mix64 is the splitmix64 finalizer: a cheap bijective hash whose
 // output bits are well distributed even for tiny sequential inputs
@@ -61,6 +64,11 @@ type JobCtl struct {
 	// progress signal the stall watchdog uses (the cluster-wide counter
 	// would let one job's traffic mask another job's wedge).
 	msgs atomic.Uint64
+	// handled records every (mixed) tag a handler was registered under
+	// through this job's views, so Release can take them off the shared
+	// endpoints when the job ends.
+	mu      sync.Mutex
+	handled map[uint64]struct{}
 }
 
 // NewJobCtl creates the control block for a job id. Job 0 is the
@@ -111,6 +119,46 @@ func (j *JobCtl) Interrupt(err error) {
 // traffic from the dead attempt is already isolated by the attempt
 // salt in the tags.
 func (j *JobCtl) Clear() { j.intr.Store(nil) }
+
+// noteHandler records a (mixed) handler tag registered for this job.
+func (j *JobCtl) noteHandler(tag uint64) {
+	j.mu.Lock()
+	if j.handled == nil {
+		j.handled = make(map[uint64]struct{})
+	}
+	j.handled[tag] = struct{}{}
+	j.mu.Unlock()
+}
+
+// Release takes the job off the shared endpoints once it has ended:
+// every handler registered through its views, and every message
+// queued under those handler tags, is dropped from each local
+// endpoint. Handlers close over the job's whole runtime state, so
+// without this a resident host serving a stream of jobs would keep
+// every finished job reachable. Call after Interrupt, when no attempt
+// of the job will run again.
+func (j *JobCtl) Release() {
+	j.mu.Lock()
+	tags := j.handled
+	j.handled = nil
+	j.mu.Unlock()
+	if len(tags) == 0 {
+		return
+	}
+	for _, id := range j.c.locals {
+		ep := j.c.nodes[id]
+		ep.mu.Lock()
+		for tag := range tags {
+			delete(ep.handlers, tag)
+		}
+		for key := range ep.pending {
+			if _, ok := tags[key.tag]; ok {
+				delete(ep.pending, key)
+			}
+		}
+		ep.mu.Unlock()
+	}
+}
 
 // JobNode returns node id's view in jc's job namespace: same queues,
 // same wire, but tags mixed into the job's namespace and receives

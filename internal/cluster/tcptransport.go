@@ -3,8 +3,7 @@ package cluster
 // TCPTransport: the multi-process backend. Each OS process hosts one
 // (or more) of the cluster's nodes; frames cross real sockets as
 // length-prefixed binary frames (see the codec in transport.go) with
-// payloads serialized through a pluggable PayloadCodec (codec.go) —
-// the hand-rolled binary codec by default, gob selectable — so every
+// payloads serialized through the binary codec (codec.go) — so every
 // payload type the runtime registers works unchanged while the hot
 // types skip gob entirely.
 //
@@ -76,18 +75,6 @@ type TCPOptions struct {
 	// has to be respawned before survivors give up on the attempt and
 	// retry from the checkpoint (default 15s).
 	ReviveTimeout time.Duration
-	// Codec serializes data-frame payloads (nil selects CodecBinary).
-	// Endpoints may differ: every frame carries its codec's ID, and the
-	// receiver dispatches per frame.
-	Codec PayloadCodec
-	// NoCoalesce disables frame coalescing: every frame gets its own
-	// Write call (the pre-batching behavior). Benchmarking only.
-	NoCoalesce bool
-	// DisableCRC skips frame-CRC computation on send and verification
-	// on receive — the ablation leg of the tcp_crc_overhead_pct bench
-	// row. Both endpoints of a link must agree. Benchmarking only:
-	// production endpoints always checksum.
-	DisableCRC bool
 }
 
 // TCPTransport implements Transport over TCP sockets, one process per
@@ -98,7 +85,6 @@ type TCPTransport struct {
 	isLoc  []bool   // indexed by node id
 	addrs  []string
 	opts   TCPOptions
-	codec  PayloadCodec
 	ln     net.Listener
 	peers  []*tcpPeer // indexed by node id; nil for hosted ids
 
@@ -236,9 +222,6 @@ func NewTCPTransport(o TCPOptions) (*TCPTransport, error) {
 	if o.ReviveTimeout <= 0 {
 		o.ReviveTimeout = 15 * time.Second
 	}
-	if o.Codec == nil {
-		o.Codec = CodecBinary
-	}
 	ln := o.Listener
 	if ln == nil {
 		var err error
@@ -252,7 +235,6 @@ func NewTCPTransport(o TCPOptions) (*TCPTransport, error) {
 		isLoc:  isLoc,
 		addrs:  append([]string(nil), o.Addrs...),
 		opts:   o,
-		codec:  o.Codec,
 		ln:     ln,
 		bound:  make(chan struct{}),
 		stop:   make(chan struct{}),
@@ -319,7 +301,7 @@ func (t *TCPTransport) Send(f *Frame) error {
 	}
 	wb := getWireBuf()
 	var err error
-	if wb.b, err = appendDataFrameChecked(wb.b, f, t.codec, !t.opts.DisableCRC); err != nil {
+	if wb.b, err = appendDataFrame(wb.b, f); err != nil {
 		putWireBuf(wb)
 		return err
 	}
@@ -362,9 +344,6 @@ func (t *TCPTransport) corruptForWrite(to NodeID, b []byte) (int, bool) {
 
 // unflip restores a bit flipped by corruptForWrite.
 func unflip(b []byte, bit int) { b[bit/8] ^= 1 << (bit % 8) }
-
-// Codec returns the payload codec this endpoint encodes with.
-func (t *TCPTransport) Codec() PayloadCodec { return t.codec }
 
 // Interrupt implements Transport: broadcast an interrupt control frame
 // to every peer.
@@ -828,12 +807,10 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		// finishes feeding — and every retransmission arriving on this
 		// connection would be swallowed into the bogus body, wedging the
 		// link forever instead of tearing it down for a clean re-dial.
-		if !t.opts.DisableCRC {
-			want := binary.LittleEndian.Uint32(hdr[framePrefixLen+frameHeaderLen:])
-			if got := crc32.Checksum(hdr[:framePrefixLen+frameHeaderLen], castagnoli); got != want {
-				t.corruptFrames.Add(1)
-				return // length untrustworthy: desynced stream
-			}
+		want := binary.LittleEndian.Uint32(hdr[framePrefixLen+frameHeaderLen:])
+		if got := crc32.Checksum(hdr[:framePrefixLen+frameHeaderLen], castagnoli); got != want {
+			t.corruptFrames.Add(1)
+			return // length untrustworthy: desynced stream
 		}
 		if cap(sb.b) < framePrefixLen+l {
 			sb.b = make([]byte, framePrefixLen+l)
@@ -843,7 +820,7 @@ func (t *TCPTransport) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(br, buf[len(hdr):]); err != nil {
 			return
 		}
-		f, _, err := decodeFrameChecked(buf, !t.opts.DisableCRC)
+		f, _, err := decodeFrame(buf)
 		if err != nil {
 			t.corruptFrames.Add(1)
 			if errors.Is(err, errCorruptPayload) {
@@ -1015,7 +992,7 @@ func (p *tcpPeer) nextBatch() (batch []*wireBuf, ok bool) {
 	for n < len(p.queue) {
 		bytes += len(p.queue[n].b)
 		n++
-		if bytes >= tcpMaxCoalesce || p.t.opts.NoCoalesce {
+		if bytes >= tcpMaxCoalesce {
 			break
 		}
 	}

@@ -168,7 +168,7 @@ type WireCorrupter interface {
 // The wire format is a length-prefixed versioned binary frame:
 //
 //	u32  length L of everything after this prefix
-//	u8   version (currently 3)
+//	u8   version (currently 4)
 //	u8   kind (data / interrupt / revive / hello / revive-ack / epoch-req / epoch-ack)
 //	u64  epoch
 //	u64  tag
@@ -179,11 +179,11 @@ type WireCorrupter interface {
 //	[L-42]byte payload
 //	u32  payload CRC32C over the payload bytes
 //
-// A data frame's payload opens with the one-byte ID of the payload
-// codec that produced the rest (see codec.go); control frames carry
-// raw metadata bytes. Version 2 frames carried no checksums — the
-// version bump makes the change loud: a v2 endpoint decoding a v3
-// stream (or vice versa) rejects the first frame and drops the
+// A data frame's payload is one binary-codec value (see codec.go);
+// control frames carry raw metadata bytes. Version 2 frames carried no
+// checksums and version 3 payloads opened with a codec-ID byte — each
+// version bump makes a layout change loud: an endpoint decoding a
+// stream of another version rejects the first frame and drops the
 // connection instead of misparsing payloads.
 //
 // The two CRCs (Castagnoli polynomial, hardware-accelerated via
@@ -201,7 +201,7 @@ type WireCorrupter interface {
 // larger than the input (FuzzFrameDecode).
 
 const (
-	frameVersion   = 3
+	frameVersion   = 4
 	framePrefixLen = 4
 	frameHeaderLen = 1 + 1 + 8 + 8 + 8 + 4 + 4
 	// frameCRCLen is the width of each of the two CRC32C fields.
@@ -293,39 +293,20 @@ func finishFrame(dst []byte, start int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, payloadCRC)
 }
 
-// finishFrameRaw seals the frame without computing checksums (the CRC
-// fields stay zero) — the send half of the DisableCRC benchmark
-// ablation. A verifying receiver rejects such frames; only matched
-// DisableCRC endpoints may exchange them.
-func finishFrameRaw(dst []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(dst[start:],
-		uint32(len(dst)-start-framePrefixLen+frameCRCLen))
-	return append(dst, 0, 0, 0, 0)
-}
-
-// appendDataFrame encodes a data frame directly into dst: header, the
-// codec-ID byte, and the codec's payload bytes — no intermediate
-// payload allocation. A nil payload (barriers, heartbeats) stays an
-// empty body. On error dst is returned truncated to its input length.
-func appendDataFrame(dst []byte, f *Frame, c PayloadCodec) ([]byte, error) {
-	return appendDataFrameChecked(dst, f, c, true)
-}
-
-// appendDataFrameChecked is appendDataFrame with checksumming optional
-// (crc=false is the DisableCRC benchmark ablation).
-func appendDataFrameChecked(dst []byte, f *Frame, c PayloadCodec, crc bool) ([]byte, error) {
+// appendDataFrame encodes a data frame directly into dst: header and
+// the binary codec's payload bytes — no intermediate payload
+// allocation. A nil payload (barriers, heartbeats) stays an empty
+// body. On error dst is returned truncated to its input length.
+func appendDataFrame(dst []byte, f *Frame) ([]byte, error) {
 	start := len(dst)
 	dst = appendFrameHeader(dst, f)
 	if f.Payload != nil {
 		var err error
-		if dst, err = appendPayload(dst, c, f.Payload); err != nil {
+		if dst, err = AppendBinaryValue(dst, f.Payload); err != nil {
 			return dst[:start], err
 		}
 	} else if len(f.Wire) > 0 {
 		dst = append(dst, f.Wire...)
-	}
-	if !crc {
-		return finishFrameRaw(dst, start), nil
 	}
 	return finishFrame(dst, start), nil
 }
@@ -337,13 +318,6 @@ func appendDataFrameChecked(dst []byte, f *Frame, c PayloadCodec, crc bool) ([]b
 // consumed, so a streaming reader can skip the frame and stay in sync;
 // every other failure consumes nothing.
 func decodeFrame(b []byte) (Frame, int, error) {
-	return decodeFrameChecked(b, true)
-}
-
-// decodeFrameChecked is decodeFrame with CRC verification optional.
-// verify=false exists solely for the CRC-overhead benchmark ablation
-// (TCPOptions.DisableCRC) — production paths always verify.
-func decodeFrameChecked(b []byte, verify bool) (Frame, int, error) {
 	var f Frame
 	if len(b) < framePrefixLen {
 		return f, 0, fmt.Errorf("%w: short prefix (%d bytes)", errBadFrame, len(b))
@@ -362,11 +336,9 @@ func decodeFrameChecked(b []byte, verify bool) (Frame, int, error) {
 	if h[0] != frameVersion {
 		return f, 0, fmt.Errorf("%w: unknown version %d", errBadFrame, h[0])
 	}
-	if verify {
-		want := binary.LittleEndian.Uint32(h[frameHeaderLen:])
-		if got := crc32.Checksum(b[:framePrefixLen+frameHeaderLen], castagnoli); got != want {
-			return f, 0, fmt.Errorf("%w: %08x, want %08x", errCorruptHeader, got, want)
-		}
+	want := binary.LittleEndian.Uint32(h[frameHeaderLen:])
+	if got := crc32.Checksum(b[:framePrefixLen+frameHeaderLen], castagnoli); got != want {
+		return f, 0, fmt.Errorf("%w: %08x, want %08x", errCorruptHeader, got, want)
 	}
 	f.Kind = h[1]
 	if f.Kind < frameData || f.Kind > frameQuiesceAck {
@@ -378,13 +350,10 @@ func decodeFrameChecked(b []byte, verify bool) (Frame, int, error) {
 	f.From = NodeID(int32(binary.LittleEndian.Uint32(h[26:])))
 	f.To = NodeID(int32(binary.LittleEndian.Uint32(h[30:])))
 	payload := h[frameHeaderLen+frameCRCLen : l-frameCRCLen]
-	if verify {
-		want := binary.LittleEndian.Uint32(h[l-frameCRCLen:])
-		if got := crc32.Checksum(payload, castagnoli); got != want {
-			// The header CRC vouched for the frame boundary: the caller
-			// may skip exactly this frame and keep reading.
-			return f, framePrefixLen + l, errCorruptPayload
-		}
+	if got := crc32.Checksum(payload, castagnoli); got != binary.LittleEndian.Uint32(h[l-frameCRCLen:]) {
+		// The header CRC vouched for the frame boundary: the caller may
+		// skip exactly this frame and keep reading.
+		return f, framePrefixLen + l, errCorruptPayload
 	}
 	if len(payload) > 0 {
 		f.Wire = payload

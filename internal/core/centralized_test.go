@@ -43,6 +43,25 @@ func TestCentralizedStencilMatchesDCR(t *testing.T) {
 	}
 }
 
+// TestCentralizedWireEncode: task envelopes carry unexported plan
+// fields that only the binary codec encodes; WireEncode always uses
+// it, so the controller-to-worker path runs under strict distribution
+// with the same answers.
+func TestCentralizedWireEncode(t *testing.T) {
+	const ncells, ntiles, nsteps = 64, 4, 3
+	wantState, wantFlux := referenceStencil1D(ncells, 1.0, nsteps)
+	runProgram(t, Config{Shards: 4, Centralized: true, WireEncode: true}, registerStencilTasks,
+		stencil1DProgram(ncells, ntiles, nsteps, 1.0, func(state, flux []float64) error {
+			for i := range wantState {
+				if state[i] != wantState[i] || flux[i] != wantFlux[i] {
+					return fmt.Errorf("mismatch at %d: state %v/%v flux %v/%v",
+						i, state[i], wantState[i], flux[i], wantFlux[i])
+				}
+			}
+			return nil
+		}))
+}
+
 func TestCentralizedFutures(t *testing.T) {
 	register := func(rt *Runtime) {
 		rt.RegisterTask("val", func(tc *TaskContext) (float64, error) {

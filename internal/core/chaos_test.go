@@ -209,16 +209,18 @@ func TestWatchdogStallError(t *testing.T) {
 	// No goroutine leaks: everything the runtime spawned must unwind.
 	testutil.CheckGoroutines(t)
 
+	program := stencil1DProgram(64, 4, 5, 1.0, func(state, flux []float64) error { return nil })
+	sends := sendsPerShard(t, Config{Shards: 4}, registerStencilTasks, program)
 	rt := NewRuntime(Config{
 		Shards:     4,
 		OpDeadline: 300 * time.Millisecond,
 		Faults: &cluster.FaultPlan{
-			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: 30, Crash: true}},
+			// Halfway through shard 2's fault-free traffic.
+			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: sends[2] / 2, Crash: true}},
 		},
 	})
 	registerStencilTasks(rt)
-	err := rt.Execute(stencil1DProgram(64, 4, 5, 1.0,
-		func(state, flux []float64) error { return nil }))
+	err := rt.Execute(program)
 	if err == nil {
 		t.Fatal("Execute succeeded despite a crashed shard")
 	}

@@ -52,16 +52,10 @@ type Config struct {
 	CPUsPerShard int
 	// Latency is the injected one-way network latency.
 	Latency time.Duration
-	// WireEncode forces payloads through the wire codec even on the
-	// in-process backend (strict distribution).
+	// WireEncode forces payloads through the binary wire codec even on
+	// the in-process backend (strict distribution): the same encodings
+	// the TCP backend puts on the wire.
 	WireEncode bool
-	// Codec selects the payload codec WireEncode round-trips through
-	// on the in-process backend: nil means cluster.CodecGob (the
-	// historical behavior), cluster.CodecBinary exercises the same
-	// hand-rolled encodings the TCP backend defaults to. Remote
-	// backends ignore this field — pick the wire codec with
-	// cluster.TCPOptions.Codec instead.
-	Codec cluster.PayloadCodec
 	// SafetyChecks enables the control-determinism verification
 	// (paper §3). Fig. 21's "Safe" configurations.
 	SafetyChecks bool
@@ -73,17 +67,6 @@ type Config struct {
 	// benchmarks; unsafe only for programs that need analysis
 	// ordering for side effects.
 	DisableFences bool
-	// DataPush enables the proactive ghost-data push path
-	// (planmemo.go): producers run the replicated fine-stage analysis
-	// for the whole launch domain and ship version rectangles to their
-	// remote readers at publication, eliminating the request leg of
-	// every remote pull. Both paths move bit-identical data. Off by
-	// default: the symmetric enumeration requires every process to
-	// analyze every point, which pays off only when co-located shards
-	// amortize the shared plan (or analysis cores are plentiful) —
-	// on a single-core host with one shard per process the replicated
-	// analysis costs more than the saved request frames.
-	DataPush bool
 	// Seed seeds the replicated random stream handed to programs.
 	Seed uint64
 	// Centralized disables control replication entirely: shard 0
@@ -855,7 +838,7 @@ func (rt *Runtime) execute(program Program, cp *Checkpoint) error {
 	// Fresh plan memo and push-tag counters for the attempt; the salt
 	// folds into every push tag so a straggler's push from a failed
 	// attempt can never satisfy this attempt's receive.
-	rt.planMemo.Store(newPlanMemo(salt, len(rt.localShards), rt.cfg.Shards))
+	rt.planMemo.Store(newPlanMemo(salt, rt.cfg.Shards))
 
 	// Wall-clock periodic checkpoints (op-count cuts live on shard 0's
 	// coarse stage, see coarse.run).

@@ -284,23 +284,23 @@ func (e *executor) assemble(inst *instance.Instance, sources []sourcePiece) erro
 	resolve := func(key verKey, owner int, rect geom.Rect, pushTag uint64) ([]float64, error) {
 		if remote(owner, rect) {
 			var p pendingPull
-			tm := e.ctx.tm.pull
 			if pushTag != 0 {
 				p = pendingPull{tag: pushTag, owner: owner}
-				tm = e.ctx.tm.push
 			} else {
 				p = pending[pi]
 				pi++
 			}
-			// A reply that already arrived cost zero wire wait: take it
-			// without a span (the wire timers price blocking, and a
-			// span here would be pure overhead on the hot path).
+			// A piece that already arrived cost zero wire wait: take it
+			// without a span (the wire timer prices blocking, and a span
+			// here would be pure overhead on the hot path). Pushed and
+			// pulled pieces share the one pull_wire timer, so its reading
+			// means the same whichever data path the runtime picked.
 			if vals, ok, err := e.fetch.tryWait(p); ok {
 				return vals, err
 			}
-			start := tm.Start()
+			start := e.ctx.tm.pull.Start()
 			vals, err := e.fetch.wait(p)
-			tm.Stop(start)
+			e.ctx.tm.pull.Stop(start)
 			return vals, err
 		}
 		return e.fetch.fetch(key, owner, rect)

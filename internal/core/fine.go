@@ -210,16 +210,23 @@ func (fs *fineStage) run(in <-chan *op) {
 }
 
 // pushOK reports whether proactive data pushes are in force for the
-// op being processed. Every input is replicated state evaluated at
-// the same position in the op stream, so all shards agree per op:
-// pushes require the opt-in Config.DataPush, and are off in
-// centralized mode (workers get plans from the controller), inside a
-// partial-restart replay window (survivors replay-skip tasks, so the
-// symmetric-enumeration invariant does not hold until the catch-up
-// rendezvous), and under trace replay (the recorded plans predate
-// this attempt's tag counters).
+// op being processed. The runtime pushes exactly when this process
+// drives every shard (MemTransport, Host jobs, a TCP endpoint hosting
+// the whole cluster): the full-domain analysis a push needs is then
+// shared by all shards through the plan memo, and a push saves the
+// request leg of every ghost read. With shards spread over processes
+// each process would have to analyze every point to enumerate its
+// duties, so it pulls instead — and because "every shard is local"
+// implies there is one process, no two processes can disagree on the
+// choice. The remaining inputs are replicated state evaluated at the
+// same position in the op stream, so all shards agree per op: pushes
+// are off in centralized mode (workers get plans from the controller),
+// inside a partial-restart replay window (survivors replay-skip tasks,
+// so the symmetric-enumeration invariant does not hold until the
+// catch-up rendezvous), and under trace replay (the recorded plans
+// predate this attempt's tag counters).
 func (fs *fineStage) pushOK() bool {
-	return fs.ctx.rt.cfg.DataPush &&
+	return !fs.ctx.rt.remote() &&
 		!fs.ctx.rt.cfg.Centralized &&
 		fs.window == nil &&
 		fs.traces.mode() != traceReplay

@@ -77,11 +77,6 @@ type Host struct {
 // the transport: Shutdown closes it.
 func NewHost(cfg Config) *Host {
 	cfg = cfg.withDefaults()
-	if cfg.Centralized && cfg.WireEncode && (cfg.Codec == nil || cfg.Codec.ID() == cluster.CodecGob.ID()) {
-		// Task plans carry unexported fields that gob silently drops;
-		// the binary codec encodes them natively (see wirecodec.go).
-		panic("core: Centralized WireEncode requires Codec: cluster.CodecBinary")
-	}
 	if cfg.Centralized && cfg.Faults != nil {
 		panic("core: fault injection requires replicated control (Centralized unsupported)")
 	}
@@ -99,7 +94,7 @@ func NewHost(cfg Config) *Host {
 		cfg: cfg,
 		clust: cluster.NewWithTransport(cluster.Config{
 			Nodes: cfg.Shards, Latency: cfg.Latency, WireEncode: cfg.WireEncode,
-			Codec: cfg.Codec, Faults: cfg.Faults,
+			Faults: cfg.Faults,
 		}, tr),
 		tasks:  make(map[string]TaskFn),
 		memo:   mapper.NewMemo(),
@@ -247,14 +242,16 @@ func (h *Host) Job(id uint64) *Runtime {
 	return h.jobs[id]
 }
 
-// closeJob deregisters a job and poisons its namespace so stragglers
-// unwind. The host (and its transport) stay up for other jobs.
+// closeJob deregisters a job, poisons its namespace so stragglers
+// unwind, and releases its handlers from the shared endpoints. The
+// host (and its transport) stay up for other jobs.
 func (h *Host) closeJob(rt *Runtime) {
 	h.mu.Lock()
 	delete(h.jobs, rt.jobID)
 	h.mu.Unlock()
 	if rt.jc != nil {
 		rt.jc.Interrupt(fmt.Errorf("%w: core: job %d closed", cluster.ErrInterrupted, rt.jobID))
+		rt.jc.Release()
 	}
 }
 

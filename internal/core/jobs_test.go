@@ -391,3 +391,29 @@ func TestJobIsolationChaos(t *testing.T) {
 		})
 	}
 }
+
+// TestJobHandlersReleased is the job-plane leak regression: a finished
+// job's active-message handlers close over its whole runtime, so they
+// must leave the host's shared endpoints when the job shuts down. After
+// 200 jobs the handler count is back at its pre-job baseline.
+func TestJobHandlersReleased(t *testing.T) {
+	h := NewHost(Config{Shards: 4, SafetyChecks: true})
+	defer h.Shutdown()
+	base := h.Cluster().Handlers()
+	for id := uint64(1); id <= 200; id++ {
+		job := h.NewJob(id)
+		if id == 1 {
+			registerStencilTasks(job) // tasks are host-wide
+		}
+		if err := job.Execute(stencil1DProgram(32, 4, 2, 1.0, func(_, _ []float64) error { return nil })); err != nil {
+			t.Fatalf("job %d: %v", id, err)
+		}
+		if id == 1 && h.Cluster().Handlers() == base {
+			t.Fatal("a running job registered no handlers; the regression would pass vacuously")
+		}
+		job.Shutdown()
+	}
+	if got := h.Cluster().Handlers(); got != base {
+		t.Fatalf("200 finished jobs left %d handlers on the endpoints, want the baseline %d", got, base)
+	}
+}

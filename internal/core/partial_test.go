@@ -33,9 +33,6 @@ type partialWorkload struct {
 	name     string
 	register func(rt *Runtime)
 	build    func(out *vecCell) Program
-	// afterBase/afterSpan window the seeded crash in per-node sends,
-	// sized so the kill lands mid-run for this workload's traffic volume.
-	afterBase, afterSpan int
 }
 
 func partialWorkloads() []partialWorkload {
@@ -48,7 +45,6 @@ func partialWorkloads() []partialWorkload {
 					return out.record(append(append([]float64(nil), state...), flux...))
 				})
 			},
-			afterBase: 30, afterSpan: 21,
 		},
 		{
 			name:     "circuit",
@@ -62,7 +58,6 @@ func partialWorkloads() []partialWorkload {
 					return out.record(append([]float64(nil), voltage...))
 				})
 			},
-			afterBase: 30, afterSpan: 21,
 		},
 		{
 			name:     "logreg",
@@ -70,7 +65,6 @@ func partialWorkloads() []partialWorkload {
 			build: func(out *vecCell) Program {
 				return logregProgram(48, 8, 10, out)
 			},
-			afterBase: 8, afterSpan: 5,
 		},
 	}
 }
@@ -91,25 +85,21 @@ func TestPartialRestartMatrix(t *testing.T) {
 			if wantHash == ([2]uint64{}) {
 				t.Fatal("zero baseline control hash")
 			}
-			// Each seed also picks a payload codec (via WireEncode),
-			// so partial recovery's replay buffers and re-served
-			// results are exercised over both wire encodings.
-			codecs := []struct {
-				name  string
-				codec cluster.PayloadCodec
-			}{{"binary", cluster.CodecBinary}, {"gob", cluster.CodecGob}}
-			for ci, cc := range codecs {
-				seed := uint64(ci + 1)
-				t.Run(fmt.Sprintf("codec=%s/seed=%d", cc.name, seed), func(t *testing.T) {
+			// Every row runs under WireEncode, so partial recovery's
+			// replay buffers and re-served results cross the binary
+			// wire codec. The crash lands mid-run by the fault-free
+			// run's own per-shard send count.
+			sends := sendsPerShard(t, Config{Shards: 4, WireEncode: true}, wl.register, wl.build(&vecCell{}))
+			for _, seed := range []uint64{1, 2} {
+				t.Run(fmt.Sprintf("codec=binary/seed=%d", seed), func(t *testing.T) {
 					testutil.CheckGoroutines(t)
 					rng := rand.New(rand.NewSource(int64(seed)))
 					node := cluster.NodeID(rng.Intn(4))
-					after := uint64(wl.afterBase + rng.Intn(wl.afterSpan))
+					after := midRunSend(rng, sends[node])
 					rt := NewRuntime(Config{
 						Shards:          4,
 						SafetyChecks:    true,
 						WireEncode:      true,
-						Codec:           cc.codec,
 						PartialRestart:  true,
 						CheckpointEvery: 8,
 						HeartbeatEvery:  3 * time.Millisecond,
@@ -171,6 +161,8 @@ func TestPartialRestartEscalation(t *testing.T) {
 	var refOut outputCell
 	wantHash := referenceRun(t, registerStencilTasks,
 		stencil1DProgram(ncells, ntiles, nsteps, 1.0, refOut.record))
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, CheckpointEvery: 8}, registerStencilTasks,
+		stencil1DProgram(ncells, ntiles, nsteps, 1.0, func(_, _ []float64) error { return nil }))
 
 	rt := NewRuntime(Config{
 		Shards:          4,
@@ -181,7 +173,8 @@ func TestPartialRestartEscalation(t *testing.T) {
 		HeartbeatPhi:    12,
 		OpDeadline:      2 * time.Second,
 		Faults: &cluster.FaultPlan{
-			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: 30, Crash: true}},
+			// Halfway through shard 2's fault-free traffic.
+			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: sends[2] / 2, Crash: true}},
 		},
 	})
 	defer rt.Shutdown()
@@ -227,6 +220,8 @@ func TestPartialRestartEscalation(t *testing.T) {
 // restarted and carries no scope.
 func TestPartialRestartHistoryScope(t *testing.T) {
 	testutil.CheckGoroutines(t)
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, CheckpointEvery: 8}, registerStencilTasks,
+		stencil1DProgram(64, 4, 6, 1.0, func(_, _ []float64) error { return nil }))
 	rt := NewRuntime(Config{
 		Shards:          4,
 		SafetyChecks:    true,
@@ -236,7 +231,8 @@ func TestPartialRestartHistoryScope(t *testing.T) {
 		HeartbeatPhi:    12,
 		OpDeadline:      2 * time.Second,
 		Faults: &cluster.FaultPlan{
-			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: 30, Crash: true}},
+			// Halfway through shard 2's fault-free traffic.
+			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: sends[2] / 2, Crash: true}},
 		},
 	})
 	defer rt.Shutdown()
@@ -344,17 +340,12 @@ func TestPartialRestartTCP(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		t.Run(wl.name, func(t *testing.T) {
-			testPartialRestartTCP(t, wl.register, wl.build, nil)
+			testPartialRestartTCP(t, wl.register, wl.build)
 		})
 	}
-	// One explicit gob row: partial recovery over TCP must be codec-
-	// blind (the other rows above ride the backend default, binary).
-	t.Run(workloads[0].name+"+gob", func(t *testing.T) {
-		testPartialRestartTCP(t, workloads[0].register, workloads[0].build, cluster.CodecGob)
-	})
 }
 
-func testPartialRestartTCP(t *testing.T, register func(rt *Runtime), build func(out *vecCell) Program, codec cluster.PayloadCodec) {
+func testPartialRestartTCP(t *testing.T, register func(rt *Runtime), build func(out *vecCell) Program) {
 	testutil.CheckGoroutines(t)
 	const shards = 3
 
@@ -381,7 +372,7 @@ func testPartialRestartTCP(t *testing.T, register func(rt *Runtime), build func(
 	}
 	mkTransport := func(i int, ln net.Listener) *cluster.TCPTransport {
 		tr, err := cluster.NewTCPTransport(cluster.TCPOptions{
-			Self: cluster.NodeID(i), Addrs: addrs, Listener: ln, Codec: codec,
+			Self: cluster.NodeID(i), Addrs: addrs, Listener: ln,
 		})
 		if err != nil {
 			t.Fatalf("transport %d: %v", i, err)

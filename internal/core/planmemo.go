@@ -10,23 +10,23 @@ import (
 //
 // Control replication makes the fine-stage analysis bit-identical on
 // every shard: the write-index directory is fully replicated, and the
-// projection and sharding functors are pure. Two consequences are
-// exploited here:
+// projection and sharding functors are pure. When one process drives
+// every shard (fineStage.pushOK), two consequences are exploited here:
 //
-//  1. Co-located shards share one full-domain analysis per launch
-//     instead of each resolving only its own points. The plans are
-//     equal on every shard by control determinism, so computing them
-//     once per process is a cache, not a semantic change — the total
-//     analysis work per process stays what the sliced version did.
+//  1. The shards share one full-domain analysis per launch instead of
+//     each resolving only its own points. The plans are equal on every
+//     shard by control determinism, so computing them once per process
+//     is a cache, not a semantic change — the total analysis work per
+//     process stays what the sliced version did.
 //
 //  2. A producer shard can enumerate — symmetrically with each
 //     consumer — exactly which version rectangles the consumer's
 //     tasks will read from it, and push them proactively when the
 //     version publishes. The consumer just receives. This removes the
-//     request leg (one wire frame and half a round trip) from every
-//     remote pull on the hot path; the demand pull protocol remains
-//     as the fallback for replay windows, trace replay, centralized
-//     mode, and rejoin gap fills.
+//     request leg (one message and half a round trip) from every
+//     cross-shard read on the hot path; the demand pull protocol
+//     remains for multi-process transports, replay windows, trace
+//     replay, centralized mode, and inline reads.
 //
 // Tag agreement needs no negotiation: both sides walk the same plans
 // in the same canonical order (domain order, then requirement/field
@@ -58,17 +58,15 @@ type planEntry struct {
 	pushes [][]pushReg
 }
 
-// planMemo is the per-attempt, per-process plan cache and push-tag
-// allocator. Entries are computed in op order: any shard that reaches
-// launch o has consumed (or computed) every earlier launch's entry
-// first, so the first shard to arrive at o is the process's
-// front-runner and the tag counter always advances in the global
-// program order — identically in every process of the cluster.
+// planMemo is the per-attempt plan cache and push-tag allocator.
+// Entries are computed in op order: any shard that reaches launch o
+// has consumed (or computed) every earlier launch's entry first, so
+// the first shard to arrive at o is the front-runner and the tag
+// counter always advances in the global program order.
 type planMemo struct {
 	mu      sync.Mutex
 	salt    uint64
-	local   int // co-located shards; entries are dropped after this many reads
-	nShards int
+	nShards int // every shard reads each entry once, then it is dropped
 	entries map[uint64]*memoSlot
 	seq     uint64
 }
@@ -78,10 +76,9 @@ type memoSlot struct {
 	refs  int
 }
 
-func newPlanMemo(salt uint64, local, nShards int) *planMemo {
+func newPlanMemo(salt uint64, nShards int) *planMemo {
 	return &planMemo{
 		salt:    salt,
-		local:   local,
 		nShards: nShards,
 		entries: make(map[uint64]*memoSlot),
 	}
@@ -89,8 +86,8 @@ func newPlanMemo(salt uint64, local, nShards int) *planMemo {
 
 // get returns the full-domain plan entry for launch o, computing it on
 // first arrival (under the memo lock — later shards block briefly and
-// then read the cached entry). Entries self-delete once every local
-// shard has read them.
+// then read the cached entry). Entries self-delete once every shard
+// has read them.
 func (m *planMemo) get(fs *fineStage, o *op, ls *launchState) *planEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,8 +99,8 @@ func (m *planMemo) get(fs *fineStage, o *op, ls *launchState) *planEntry {
 		return s.entry
 	}
 	e := m.compute(fs, o, ls)
-	if m.local > 1 {
-		m.entries[o.seq] = &memoSlot{entry: e, refs: m.local - 1}
+	if m.nShards > 1 {
+		m.entries[o.seq] = &memoSlot{entry: e, refs: m.nShards - 1}
 	}
 	return e
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
@@ -12,138 +11,71 @@ import (
 	"godcr/internal/testutil"
 )
 
-// Proactive data push (planmemo.go): with Config.DataPush, producers
-// run the replicated analysis for the whole launch domain and ship
-// ghost data at publication instead of answering demand pulls. The
-// tests below pin the protocol-substitution invariant — push must move
-// exactly the data pull would have, with pull traffic dropping to zero
-// on the steady-state path — and the fallback seams where push turns
-// itself off (trace replay, partial-restart windows).
+// Proactive data push (planmemo.go): when one process drives every
+// shard, producers run the replicated analysis for the whole launch
+// domain and ship ghost data at publication instead of answering
+// demand pulls; across processes the runtime pulls. The tests below
+// pin the protocol-substitution invariant — push must move exactly the
+// data pull would have, with pull traffic dropping to zero on the
+// steady-state path — and the fallback seams where push turns itself
+// off (trace replay, partial-restart windows).
 
-// TestDataPushReplacesPulls runs the stencil on co-located shards and
-// demands the protocol swap on the task path: every task-side ghost
-// read satisfied by a push (the residual pulls are the program's final
-// InlineReads, which stay on the demand protocol by design), outputs
-// and ControlHash bit-identical to the pull-mode baseline.
+// TestDataPushReplacesPulls runs the stencil in-process, where the
+// runtime pushes, and over one TCP endpoint per shard, where it pulls,
+// and demands the protocol swap on the task path: every task-side
+// ghost read in-process is satisfied by a push (the residual pulls are
+// the program's final InlineReads, which stay on the demand protocol
+// by design — the same steps without the readback pull nothing), with
+// outputs and ControlHash bit-identical to the pull run.
 func TestDataPushReplacesPulls(t *testing.T) {
-	var base vecCell
-	brt := runProgram(t, Config{Shards: 4, SafetyChecks: true}, registerStencilTasks,
-		stencil1DProgram(64, 8, 5, 1.0, func(state, flux []float64) error {
-			return base.record(append(append([]float64(nil), state...), flux...))
-		}))
-	wantOut, wantHash := base.get(), brt.ControlHash()
-	basePulls := brt.Stats().RemotePulls
+	defer testutil.CheckGoroutines(t)
+	const shards = 4
+	wl := parityWorkloads()[0] // the stencil with its final readback
+	var basePulls uint64
+	pulls := runOverTCP(t, wl, singletons(shards))
+	for i, r := range pulls {
+		if r.st.RemotePushes != 0 {
+			t.Fatalf("tcp shard %d pushed %d pieces; one shard per process must pull", i, r.st.RemotePushes)
+		}
+		basePulls += r.st.RemotePulls
+	}
 	if basePulls == 0 {
 		t.Fatal("pull-mode baseline moved no remote data")
 	}
 
-	var out vecCell
-	rt := runProgram(t, Config{Shards: 4, SafetyChecks: true, DataPush: true}, registerStencilTasks,
-		stencil1DProgram(64, 8, 5, 1.0, func(state, flux []float64) error {
-			return out.record(append(append([]float64(nil), state...), flux...))
-		}))
-	st := rt.Stats()
+	push := runMem(t, wl, Config{Shards: shards})[0]
+	st := push.st
 	if st.RemotePushes == 0 {
-		t.Fatalf("DataPush run pushed nothing: %+v", st)
+		t.Fatalf("in-process run pushed nothing: %+v", st)
 	}
 	if st.RemotePulls+st.RemotePushes != basePulls {
-		t.Fatalf("push run moved %d+%d transfers, want the baseline's %d: every pull must "+
+		t.Fatalf("push run moved %d+%d transfers, want the pull run's %d: every pull must "+
 			"become a push or stay an (inline-read) pull", st.RemotePulls, st.RemotePushes, basePulls)
 	}
 	if st.RemotePulls >= basePulls {
-		t.Fatalf("push run still pulled %d of the baseline's %d transfers", st.RemotePulls, basePulls)
+		t.Fatalf("push run still pulled %d of the pull run's %d transfers", st.RemotePulls, basePulls)
 	}
-	if got := rt.ControlHash(); got != wantHash {
-		t.Fatalf("control hash %x, want %x", got, wantHash)
-	}
-	got := out.get()
-	if len(got) != len(wantOut) {
-		t.Fatalf("push run has %d outputs, want %d", len(got), len(wantOut))
-	}
-	for i := range wantOut {
-		// Bit-identical, not approximately equal.
-		if got[i] != wantOut[i] {
-			t.Fatalf("output[%d] = %v, want %v", i, got[i], wantOut[i])
-		}
+	checkParity(t, "push run", push.out, pulls[0].out, push.hash, pulls[0].hash)
+
+	// Without the readback the same steps pull nothing at all, and push
+	// exactly what the full run pushed.
+	steps := runProgram(t, Config{Shards: shards, SafetyChecks: true}, registerStencilTasks,
+		stencil1DProgram(64, 8, 5, 1.0, nil)).Stats()
+	if steps.RemotePulls != 0 || steps.RemotePushes != st.RemotePushes {
+		t.Fatalf("readback-free run moved %d pulls + %d pushes, want 0 + %d",
+			steps.RemotePulls, steps.RemotePushes, st.RemotePushes)
 	}
 }
 
-// TestDataPushTCP repeats the swap assertion with one shard per TCP
-// endpoint: tags are agreed without negotiation across process
-// boundaries, so no node sends a pull request for task-side ghost
-// data (the residual pulls are the final InlineReads).
-func TestDataPushTCP(t *testing.T) {
-	defer testutil.CheckGoroutines(t)
-	var base vecCell
-	brt := runProgram(t, Config{Shards: 4, SafetyChecks: true}, registerStencilTasks,
-		stencil1DProgram(64, 8, 5, 1.0, func(state, flux []float64) error {
-			return base.record(append(append([]float64(nil), state...), flux...))
-		}))
-	wantOut, wantHash := base.get(), brt.ControlHash()
-	basePulls := brt.Stats().RemotePulls
-
-	const shards = 4
-	trs := loopbackTransports(t, shards, nil)
-	rts := make([]*Runtime, shards)
-	outs := make([]*vecCell, shards)
-	for i := range rts {
-		rts[i] = NewRuntime(Config{Shards: shards, SafetyChecks: true, Transport: trs[i], DataPush: true})
-		registerStencilTasks(rts[i])
-		outs[i] = &vecCell{}
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, shards)
-	for i := range rts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = rts[i].Execute(stencil1DProgram(64, 8, 5, 1.0, func(state, flux []float64) error {
-				return outs[i].record(append(append([]float64(nil), state...), flux...))
-			}))
-		}(i)
-	}
-	wg.Wait()
-	var pulls, pushes uint64
-	for i, rt := range rts {
-		defer rt.Shutdown()
-		if errs[i] != nil {
-			t.Fatalf("shard %d: %v", i, errs[i])
-		}
-		st := rt.Stats()
-		if st.RemotePushes == 0 {
-			t.Fatalf("shard %d pushed nothing over TCP: %+v", i, st)
-		}
-		pulls += st.RemotePulls
-		pushes += st.RemotePushes
-		if got := rt.ControlHash(); got != wantHash {
-			t.Fatalf("shard %d control hash %x, want %x", i, got, wantHash)
-		}
-		got := outs[i].get()
-		for j := range wantOut {
-			if got[j] != wantOut[j] {
-				t.Fatalf("shard %d output[%d] = %v, want %v", i, j, got[j], wantOut[j])
-			}
-		}
-	}
-	// Transfer conservation across the cluster: every baseline pull is
-	// now a push or an inline-read pull, and pushes dominate.
-	if pulls+pushes != basePulls {
-		t.Fatalf("cluster moved %d+%d transfers, want the baseline's %d", pulls, pushes, basePulls)
-	}
-	if pulls >= pushes {
-		t.Fatalf("pulls (%d) should be the inline-read residue, pushes (%d) the task path", pulls, pushes)
-	}
-}
-
-// TestDataPushWithTracing brackets the stencil body in a trace with
-// DataPush on. Replayed occurrences reuse recorded plans that predate
+// TestDataPushWithTracing brackets the stencil body in a trace on the
+// in-process backend, where the runtime pushes. Replayed occurrences reuse recorded plans that predate
 // the attempt's tag counters, so pushOK turns the protocol off for
 // them and those reads fall back to demand pulls — both protocols
 // serve one run, and the results stay exact.
 func TestDataPushWithTracing(t *testing.T) {
 	const ncells, ntiles, nsteps = 48, 4, 8
 	wantState, wantFlux := referenceStencil1D(ncells, 1.0, nsteps)
-	rt := NewRuntime(Config{Shards: 3, SafetyChecks: true, DataPush: true})
+	rt := NewRuntime(Config{Shards: 3, SafetyChecks: true})
 	defer rt.Shutdown()
 	registerStencilTasks(rt)
 	prog := func(ctx *Context) error {
@@ -191,8 +123,8 @@ func TestDataPushWithTracing(t *testing.T) {
 	}
 }
 
-// TestDataPushPartialRestart crashes one shard mid-run with DataPush
-// on. Inside the partial-restart window survivors replay-skip their
+// TestDataPushPartialRestart crashes one shard mid-run in-process,
+// where the runtime pushes. Inside the partial-restart window survivors replay-skip their
 // tasks, breaking the symmetric-enumeration invariant, so pushOK gates
 // the protocol off until the catch-up rendezvous (and the rejoiner's
 // adopted store drops stale push registrations). Recovery must stay
@@ -204,19 +136,18 @@ func TestDataPushPartialRestart(t *testing.T) {
 			return base.record(append(append([]float64(nil), state...), flux...))
 		}))
 	wantOut, wantHash := base.get(), brt.ControlHash()
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, CheckpointEvery: 8}, registerStencilTasks,
+		stencil1DProgram(64, 8, 6, 1.0, func(_, _ []float64) error { return nil }))
 
 	for _, seed := range []uint64{1, 2} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			rng := rand.New(rand.NewSource(int64(seed)))
 			node := cluster.NodeID(rng.Intn(4))
-			// Push halves per-node data messages, so the crash window
-			// sits lower than the pull-era 30..50.
-			after := uint64(15 + rng.Intn(11))
+			after := midRunSend(rng, sends[node])
 			rt := NewRuntime(Config{
 				Shards:          4,
 				SafetyChecks:    true,
-				DataPush:        true,
 				PartialRestart:  true,
 				CheckpointEvery: 8,
 				HeartbeatEvery:  3 * time.Millisecond,

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -74,15 +75,18 @@ func TestResumeAfterShardCrash(t *testing.T) {
 		t.Fatal("fault-free run produced a zero control hash")
 	}
 
-	// Faulty run: shard 2's transport crashes mid-run; the watchdog
-	// must convert the hang into a checkpointed StallError.
+	// Faulty run: shard 2's transport crashes mid-run (a seeded point
+	// in the middle half of its fault-free traffic); the watchdog must
+	// convert the hang into a checkpointed StallError.
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, Journal: true}, registerStencilTasks,
+		stencil1DProgram(ncells, ntiles, nsteps, 1.0, func(_, _ []float64) error { return nil }))
 	rt := NewRuntime(Config{
 		Shards:       4,
 		SafetyChecks: true,
 		Journal:      true,
 		OpDeadline:   300 * time.Millisecond,
 		Faults: &cluster.FaultPlan{
-			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: 60, Crash: true}},
+			Stalls: []cluster.StallWindow{{Node: 2, AfterSends: midRunSend(rand.New(rand.NewSource(1)), sends[2]), Crash: true}},
 		},
 	})
 	defer rt.Shutdown()

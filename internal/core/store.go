@@ -301,9 +301,9 @@ func (f *fetcher) sendPush(sv *storedVersion, pr pushReg) {
 }
 
 // tryWait returns a started pull's reply if it has already arrived,
-// without blocking. The executor uses it to keep the pull_wire/
-// push_wire timers honest (and cheap): a reply that beat us here cost
-// zero wait, so it should neither record a span nor pay for one.
+// without blocking. The executor uses it to keep the pull_wire timer
+// honest (and cheap): a reply that beat us here cost zero wait, so it
+// should neither record a span nor pay for one.
 func (f *fetcher) tryWait(p pendingPull) ([]float64, bool, error) {
 	payload, ok := f.ctx.node.TryRecv(p.tag, cluster.NodeID(p.owner))
 	if !ok {

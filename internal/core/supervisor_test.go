@@ -33,6 +33,55 @@ func referenceRun(t *testing.T, register func(*Runtime), program Program) [2]uin
 	return hash
 }
 
+// sendCounter wraps a transport and counts data frames by sender. On
+// a fault-free run without heartbeats every frame is one Node.Send, so
+// the counts are exactly what StallWindow.AfterSends triggers on.
+type sendCounter struct {
+	cluster.Transport
+	sends []atomic.Uint64
+}
+
+func (s *sendCounter) Send(f *cluster.Frame) error {
+	s.sends[f.From].Add(1)
+	return s.Transport.Send(f)
+}
+
+// sendsPerShard runs program fault-free on the in-process backend
+// under cfg and returns each shard's send count. Crash windows keyed
+// on sends are derived from it (midRunSend) rather than hard-coded:
+// how many messages a shard sends depends on the data path the runtime
+// picks, so a fixed count that lands mid-run under one path can land
+// after the end under another.
+func sendsPerShard(t *testing.T, cfg Config, register func(*Runtime), program Program) []uint64 {
+	t.Helper()
+	sc := &sendCounter{Transport: cluster.NewMemTransport(cfg.Shards), sends: make([]atomic.Uint64, cfg.Shards)}
+	cfg.Transport = sc
+	cfg.Faults, cfg.HeartbeatEvery = nil, 0
+	rt := NewRuntime(cfg)
+	defer rt.Shutdown()
+	if register != nil {
+		register(rt)
+	}
+	if err := rt.Execute(program); err != nil {
+		t.Fatalf("fault-free send-count run: %v", err)
+	}
+	out := make([]uint64, cfg.Shards)
+	for i := range out {
+		out[i] = sc.sends[i].Load()
+	}
+	return out
+}
+
+// midRunSend picks a seeded send index in the middle half [n/4, 3n/4)
+// of a shard's fault-free send count n, so a crash keyed on it always
+// fires, and fires with work left to recover.
+func midRunSend(rng *rand.Rand, n uint64) uint64 {
+	if n < 4 {
+		return 1
+	}
+	return n/4 + uint64(rng.Int63n(int64(n/2)))
+}
+
 // TestSupervisorConvergence is the self-healing chaos soak: crash a
 // seeded-random shard at a seeded-random point mid-run and demand
 // RunSupervised (heartbeat detection → checkpoint → Revive → Resume)
@@ -48,13 +97,15 @@ func TestSupervisorConvergence(t *testing.T) {
 	if err := refOut.compare(wantState, wantFlux); err != nil {
 		t.Fatalf("fault-free run diverged from sequential reference: %v", err)
 	}
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, CheckpointEvery: 8}, registerStencilTasks,
+		stencil1DProgram(ncells, ntiles, nsteps, 1.0, func(_, _ []float64) error { return nil }))
 
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			rng := rand.New(rand.NewSource(int64(seed)))
 			node := cluster.NodeID(rng.Intn(4))
-			after := uint64(25 + rng.Intn(26)) // mid-run by send count
+			after := midRunSend(rng, sends[node])
 			rt := NewRuntime(Config{
 				Shards:          4,
 				SafetyChecks:    true,
@@ -113,13 +164,15 @@ func TestSupervisorConvergenceCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sends := sendsPerShard(t, Config{Shards: 4, SafetyChecks: true, CheckpointEvery: 8}, registerCircuitTasks,
+		program(&sumCell{}, &vecCell{}))
 
 	for _, seed := range []uint64{4, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			testutil.CheckGoroutines(t)
 			rng := rand.New(rand.NewSource(int64(seed)))
 			node := cluster.NodeID(rng.Intn(4))
-			after := uint64(20 + rng.Intn(31))
+			after := midRunSend(rng, sends[node])
 			rt := NewRuntime(Config{
 				Shards:          4,
 				SafetyChecks:    true,

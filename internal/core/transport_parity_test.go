@@ -59,49 +59,48 @@ func parityWorkloads() []parityWorkload {
 }
 
 // loopbackTransports builds one TCPTransport per shard, all on
-// 127.0.0.1 with pre-bound :0 listeners (no port races), each encoding
-// payloads with codec (nil keeps the backend default, CodecBinary).
-func loopbackTransports(t *testing.T, n int, codec cluster.PayloadCodec) []*cluster.TCPTransport {
+// 127.0.0.1 with pre-bound :0 listeners (no port races).
+func loopbackTransports(t *testing.T, n int) []*cluster.TCPTransport {
 	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen: %v", err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	trs := make([]*cluster.TCPTransport, n)
-	for i := range trs {
-		tr, err := cluster.NewTCPTransport(cluster.TCPOptions{
-			Self: cluster.NodeID(i), Addrs: addrs, Listener: lns[i], Codec: codec,
-		})
-		if err != nil {
-			t.Fatalf("transport %d: %v", i, err)
-		}
-		trs[i] = tr
-	}
-	return trs
+	return groupedTransports(t, singletons(n))
 }
 
-// runOverTCP executes the workload as shards distinct runtimes, each
-// hosting one shard over its own TCP endpoint — the in-test equivalent
-// of shards OS processes — and returns each runtime's recorded output
-// and control hash.
-func runOverTCP(t *testing.T, wl parityWorkload, shards int, codec cluster.PayloadCodec, push bool) ([][]float64, [][2]uint64) {
+// singletons places each of n shards in its own process-equivalent.
+func singletons(n int) [][]int {
+	groups := make([][]int, n)
+	for i := range groups {
+		groups[i] = []int{i}
+	}
+	return groups
+}
+
+// replica is one process-equivalent's outcome of a run.
+type replica struct {
+	out  []float64
+	hash [2]uint64
+	st   Stats
+}
+
+// runOverTCP executes the workload as one runtime per shard group,
+// each behind its own TCP endpoint hosting that group's shards — the
+// in-test equivalent of len(groups) OS processes — and returns each
+// runtime's recorded output, control hash and stats.
+func runOverTCP(t *testing.T, wl parityWorkload, groups [][]int) []replica {
 	t.Helper()
-	trs := loopbackTransports(t, shards, codec)
-	rts := make([]*Runtime, shards)
-	outs := make([]*vecCell, shards)
+	shards := 0
+	for _, g := range groups {
+		shards += len(g)
+	}
+	trs := groupedTransports(t, groups)
+	rts := make([]*Runtime, len(groups))
+	outs := make([]*vecCell, len(groups))
 	for i := range rts {
-		rts[i] = NewRuntime(Config{Shards: shards, SafetyChecks: true, Transport: trs[i], DataPush: push})
+		rts[i] = NewRuntime(Config{Shards: shards, SafetyChecks: true, Transport: trs[i]})
 		wl.register(rts[i])
 		outs[i] = &vecCell{}
 	}
 	var wg sync.WaitGroup
-	errs := make([]error, shards)
+	errs := make([]error, len(groups))
 	for i := range rts {
 		wg.Add(1)
 		go func(i int) {
@@ -110,19 +109,47 @@ func runOverTCP(t *testing.T, wl parityWorkload, shards int, codec cluster.Paylo
 		}(i)
 	}
 	wg.Wait()
-	vals := make([][]float64, shards)
-	hashes := make([][2]uint64, shards)
+	runs := make([]replica, len(groups))
 	for i, rt := range rts {
 		if errs[i] != nil {
-			t.Fatalf("shard %d over tcp: %v", i, errs[i])
+			t.Fatalf("process %d (shards %v) over tcp: %v", i, groups[i], errs[i])
 		}
-		vals[i] = outs[i].get()
-		hashes[i] = rt.ControlHash()
+		runs[i] = replica{out: outs[i].get(), hash: rt.ControlHash(), st: rt.Stats()}
 		rt.Shutdown()
 	}
-	return vals, hashes
+	return runs
 }
 
+// checkParity demands a replica's outputs and control hash be
+// bit-identical to the baseline's.
+func checkParity(t *testing.T, label string, vals, want []float64, hash, wantHash [2]uint64) {
+	t.Helper()
+	if hash != wantHash {
+		t.Fatalf("%s control hash %x, want %x", label, hash, wantHash)
+	}
+	if len(vals) != len(want) {
+		t.Fatalf("%s has %d outputs, want %d", label, len(vals), len(want))
+	}
+	for j := range want {
+		// Bit-identical, not approximately equal.
+		if vals[j] != want[j] {
+			t.Fatalf("%s output[%d] = %v, want %v", label, j, vals[j], want[j])
+		}
+	}
+}
+
+// TestTransportParity is the backend matrix: the runtime above the
+// seam must be blind to the transport, the payload encoding, and the
+// data path the runtime picked. "mem" is the plain in-process backend
+// and "mem+binary" forces every payload through the binary wire codec
+// (WireEncode); "job" runs the workload as a job on a resident Host.
+// All three host every shard in one process, so the runtime pushes
+// ghost data. "tcp+binary" puts each shard behind its own TCP
+// endpoint, where the runtime pulls; "tcp+binary+push" hosts every
+// shard behind one TCP endpoint, where it pushes again. Each row at
+// each shard count moves the same transfers as the one-shard-per-
+// endpoint pull run — a pull there is a push or an (inline-read) pull
+// here — with bit-identical outputs and ControlHash.
 func TestTransportParity(t *testing.T) {
 	defer testutil.CheckGoroutines(t)
 	for _, wl := range parityWorkloads() {
@@ -134,65 +161,76 @@ func TestTransportParity(t *testing.T) {
 			if wantHash == ([2]uint64{}) {
 				t.Fatal("zero baseline control hash")
 			}
-
-			// The backend × codec matrix: the runtime above the seam
-			// must be blind to both the transport and the payload
-			// encoding. "mem" is the plain in-process fast path;
-			// "mem+gob" / "mem+binary" force every payload through the
-			// named codec via WireEncode; the tcp rows select the wire
-			// codec per endpoint. The "+push" rows flip the data plane
-			// from demand pull to proactive push (Config.DataPush) —
-			// which data protocol moved the bytes must be equally
-			// invisible above the seam.
-			backends := []struct {
-				name  string
-				tcp   bool
-				push  bool
-				codec cluster.PayloadCodec
-			}{
-				{name: "mem"},
-				{name: "mem+gob", codec: cluster.CodecGob},
-				{name: "mem+binary", codec: cluster.CodecBinary},
-				{name: "mem+push", push: true},
-				{name: "tcp+gob", tcp: true, codec: cluster.CodecGob},
-				{name: "tcp+binary", tcp: true, codec: cluster.CodecBinary},
-				{name: "tcp+binary+push", tcp: true, push: true, codec: cluster.CodecBinary},
-			}
-			for _, backend := range backends {
-				for _, shards := range []int{2, 4} {
-					t.Run(fmt.Sprintf("%s/shards=%d", backend.name, shards), func(t *testing.T) {
-						var vals [][]float64
-						var hashes [][2]uint64
-						if !backend.tcp {
-							var out vecCell
-							cfg := Config{Shards: shards, SafetyChecks: true,
-								WireEncode: backend.codec != nil, Codec: backend.codec,
-								DataPush: backend.push}
-							rt := runProgram(t, cfg, wl.register, wl.build(&out))
-							vals = [][]float64{out.get()}
-							hashes = [][2]uint64{rt.ControlHash()}
-						} else {
-							vals, hashes = runOverTCP(t, wl, shards, backend.codec, backend.push)
+			for _, shards := range []int{2, 4} {
+				// The pull reference: one shard per TCP endpoint.
+				pulls := runOverTCP(t, wl, singletons(shards))
+				var refPulls uint64
+				for _, r := range pulls {
+					if r.st.RemotePushes != 0 {
+						t.Fatalf("shards=%d: one-shard-per-endpoint tcp pushed %d pieces", shards, r.st.RemotePushes)
+					}
+					refPulls += r.st.RemotePulls
+				}
+				backends := []struct {
+					name string
+					run  func(t *testing.T) []replica
+				}{
+					{"mem", func(t *testing.T) []replica { return runMem(t, wl, Config{Shards: shards}) }},
+					{"mem+binary", func(t *testing.T) []replica {
+						return runMem(t, wl, Config{Shards: shards, WireEncode: true})
+					}},
+					{"job", func(t *testing.T) []replica { return runJob(t, wl, shards) }},
+					{"tcp+binary", func(t *testing.T) []replica { return pulls }},
+					{"tcp+binary+push", func(t *testing.T) []replica {
+						all := make([]int, shards)
+						for i := range all {
+							all[i] = i
 						}
-						for i := range vals {
-							if hashes[i] != wantHash {
-								t.Fatalf("replica %d control hash %x, want %x", i, hashes[i], wantHash)
-							}
-							if len(vals[i]) != len(wantOut) {
-								t.Fatalf("replica %d has %d outputs, want %d", i, len(vals[i]), len(wantOut))
-							}
-							for j := range wantOut {
-								// Bit-identical, not approximately equal.
-								if vals[i][j] != wantOut[j] {
-									t.Fatalf("replica %d output[%d] = %v, want %v", i, j, vals[i][j], wantOut[j])
-								}
-							}
+						return runOverTCP(t, wl, [][]int{all})
+					}},
+				}
+				for _, backend := range backends {
+					t.Run(fmt.Sprintf("%s/shards=%d", backend.name, shards), func(t *testing.T) {
+						var moved uint64
+						for i, r := range backend.run(t) {
+							checkParity(t, fmt.Sprintf("replica %d", i), r.out, wantOut, r.hash, wantHash)
+							moved += r.st.RemotePulls + r.st.RemotePushes
+						}
+						if moved != refPulls {
+							t.Fatalf("moved %d transfers, want the pull reference's %d: every pull must "+
+								"become a push or stay an (inline-read) pull", moved, refPulls)
 						}
 					})
 				}
 			}
 		})
 	}
+}
+
+// runJob runs the workload as job 1 on a fresh in-process Host and
+// reports it as a single process-equivalent.
+func runJob(t *testing.T, wl parityWorkload, shards int) []replica {
+	t.Helper()
+	h := NewHost(Config{Shards: shards, SafetyChecks: true})
+	defer h.Shutdown()
+	job := h.NewJob(1)
+	defer job.Shutdown()
+	wl.register(job)
+	var out vecCell
+	if err := job.Execute(wl.build(&out)); err != nil {
+		t.Fatalf("job: %v", err)
+	}
+	return []replica{{out: out.get(), hash: job.ControlHash(), st: job.Stats()}}
+}
+
+// runMem runs the workload on the in-process backend under cfg and
+// reports it as a single process-equivalent.
+func runMem(t *testing.T, wl parityWorkload, cfg Config) []replica {
+	t.Helper()
+	cfg.SafetyChecks = true
+	var out vecCell
+	rt := runProgram(t, cfg, wl.register, wl.build(&out))
+	return []replica{{out: out.get(), hash: rt.ControlHash(), st: rt.Stats()}}
 }
 
 // TestTransportBytesCounted is the runtime-level half of the byte
@@ -264,52 +302,12 @@ func TestMultiShardHostingParity(t *testing.T) {
 				t.Fatal("zero baseline control hash")
 			}
 
-			flatVals, flatHashes := runOverTCP(t, wl, 4, nil, false) // 4-over-4, default codec
-
+			for i, r := range runOverTCP(t, wl, singletons(4)) {
+				checkParity(t, fmt.Sprintf("4-over-4 proc %d", i), r.out, wantOut, r.hash, wantHash)
+			}
 			groups := [][]int{{0, 1}, {2, 3}} // 4-over-2
-			trs := groupedTransports(t, groups)
-			rts := make([]*Runtime, len(groups))
-			outs := make([]*vecCell, len(groups))
-			for i := range rts {
-				rts[i] = NewRuntime(Config{Shards: 4, SafetyChecks: true, Transport: trs[i]})
-				wl.register(rts[i])
-				outs[i] = &vecCell{}
-			}
-			var wg sync.WaitGroup
-			errs := make([]error, len(groups))
-			for i := range rts {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					errs[i] = rts[i].Execute(wl.build(outs[i]))
-				}(i)
-			}
-			wg.Wait()
-
-			check := func(label string, vals []float64, hash [2]uint64) {
-				t.Helper()
-				if hash != wantHash {
-					t.Fatalf("%s control hash %x, want %x", label, hash, wantHash)
-				}
-				if len(vals) != len(wantOut) {
-					t.Fatalf("%s has %d outputs, want %d", label, len(vals), len(wantOut))
-				}
-				for j := range wantOut {
-					// Bit-identical, not approximately equal.
-					if vals[j] != wantOut[j] {
-						t.Fatalf("%s output[%d] = %v, want %v", label, j, vals[j], wantOut[j])
-					}
-				}
-			}
-			for i := range flatVals {
-				check(fmt.Sprintf("4-over-4 proc %d", i), flatVals[i], flatHashes[i])
-			}
-			for i, rt := range rts {
-				if errs[i] != nil {
-					t.Fatalf("4-over-2 proc %d: %v", i, errs[i])
-				}
-				check(fmt.Sprintf("4-over-2 proc %d (shards %v)", i, groups[i]), outs[i].get(), rt.ControlHash())
-				rt.Shutdown()
+			for i, r := range runOverTCP(t, wl, groups) {
+				checkParity(t, fmt.Sprintf("4-over-2 proc %d (shards %v)", i, groups[i]), r.out, wantOut, r.hash, wantHash)
 			}
 		})
 	}

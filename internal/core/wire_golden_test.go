@@ -82,7 +82,7 @@ func TestCoreGoldenVectors(t *testing.T) {
 	}{"remoteTask", remoteTaskFixture(), remoteTaskHex})
 	for _, g := range cases {
 		t.Run(g.name, func(t *testing.T) {
-			got, err := cluster.CodecBinary.Append(nil, g.v)
+			got, err := cluster.AppendBinaryValue(nil, g.v)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -93,7 +93,7 @@ func TestCoreGoldenVectors(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("encoding drifted from golden vector:\n got %x\nwant %x\n(a deliberate format change must bump cluster.frameVersion)", got, want)
 			}
-			back, err := cluster.CodecBinary.Decode(want)
+			back, err := cluster.DecodePayload(want)
 			if err != nil {
 				t.Fatalf("decode golden: %v", err)
 			}
@@ -105,16 +105,15 @@ func TestCoreGoldenVectors(t *testing.T) {
 }
 
 // TestRemoteTaskGobUnencodable documents why the binary registration
-// exists: the gob codec cannot carry task envelopes at all (fieldPlan
-// is all unexported fields, so remoteTask was never gob-registered and
-// Centralized WireEncode was historically a panic), while the binary
-// codec round-trips the full plan tree.
+// exists: gob cannot carry task envelopes at all (fieldPlan is all
+// unexported fields, so the codec's gob fallback would lose them),
+// while the binary fast path round-trips the full plan tree.
 func TestRemoteTaskGobUnencodable(t *testing.T) {
 	task := remoteTaskFixture()
-	if _, err := cluster.CodecGob.Append(nil, task); err == nil {
-		t.Fatal("gob encoded a remoteTask; the Centralized WireEncode guard in core.go can be revisited")
+	if _, err := cluster.EncodeWire(task); err == nil {
+		t.Fatal("gob encoded a remoteTask; the binary registration in wirecodec.go is no longer load-bearing")
 	}
-	bin, err := cluster.CodecBinary.Decode(mustAppend(t, task))
+	bin, err := cluster.DecodePayload(mustAppend(t, task))
 	if err != nil || !reflect.DeepEqual(bin.(*remoteTask).Plans, task.Plans) {
 		t.Fatalf("binary codec lost plan contents: %v", err)
 	}
@@ -122,7 +121,7 @@ func TestRemoteTaskGobUnencodable(t *testing.T) {
 
 func mustAppend(t *testing.T, v any) []byte {
 	t.Helper()
-	b, err := cluster.CodecBinary.Append(nil, v)
+	b, err := cluster.AppendBinaryValue(nil, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +140,7 @@ func TestCoreEncodeAllocs(t *testing.T) {
 	for name, v := range map[string]any{"pullResp": resp, "future float64": fv, "checkVal": cv} {
 		v := v
 		if n := testing.AllocsPerRun(100, func() {
-			b, err := cluster.CodecBinary.Append(buf, v)
+			b, err := cluster.AppendBinaryValue(buf, v)
 			if err != nil || len(b) == 0 {
 				t.Fatal("encode failed")
 			}
@@ -158,7 +157,7 @@ func TestCoreEncodeAllocs(t *testing.T) {
 func TestCoreDecodeAllocs(t *testing.T) {
 	resp := mustAppend(t, pullResp{Vals: make([]float64, 1024)})
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := cluster.CodecBinary.Decode(resp); err != nil {
+		if _, err := cluster.DecodePayload(resp); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 2 {
@@ -166,7 +165,7 @@ func TestCoreDecodeAllocs(t *testing.T) {
 	}
 	cv := mustAppend(t, checkVal{A: 1, B: 2})
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := cluster.CodecBinary.Decode(cv); err != nil {
+		if _, err := cluster.DecodePayload(cv); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 1 {

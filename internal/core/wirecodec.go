@@ -4,7 +4,8 @@ package core
 // spends most of its budget on per-message type descriptors and
 // reflection; the hand-rolled layouts below are flat little-endian
 // records decoded with a bounds-checked cursor, registered with the
-// cluster codec so TCPOptions.Codec == CodecBinary picks them up.
+// cluster's binary codec (the one codec on the TCP wire and under
+// WireEncode).
 // Anything not registered here (divergeVote, test-only payloads) rides
 // the codec's self-describing gob fallback unchanged.
 

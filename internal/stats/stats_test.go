@@ -148,7 +148,7 @@ func TestMonotonicUnderConcurrency(t *testing.T) {
 func TestMergeEqualsSum(t *testing.T) {
 	paths := []string{
 		"coarse/analysis", "fine/fence_wait", "fine/analysis",
-		"execute/point", "execute/pull_wire", "execute/push_wire", "collective",
+		"execute/point", "execute/pull_wire", "collective",
 	}
 	const shards = 5
 	rng := rand.New(rand.NewSource(7))
